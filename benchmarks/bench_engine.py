@@ -1,20 +1,14 @@
-"""Execution engine: executor backends and the component solve cache.
+"""Execution engine: the component solve cache.
 
 The Section 5.5 decomposition yields independent components; the engine
-fans them out across serial/thread/process executors and caches solved
-components by canonical fingerprint.  This bench quantifies both levers on
-a multi-component workload:
-
-- *executors* — one cold solve per backend, identical-solution check
-  included (parallelism must be a pure wall-clock optimization),
-- *cache* — a repeated-solve sweep (the figure-sweep / skyline /
-  ablation access pattern) cold vs warm; the warm path must be at least
-  5x faster than cold serial.
+caches solved components by canonical fingerprint.  This bench times a
+repeated-solve sweep (the figure-sweep / skyline / ablation access
+pattern) on a multi-component workload, cold vs warm; the warm path must
+be at least 5x faster than cold serial.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import save_json, save_result
@@ -37,56 +31,6 @@ def workload():
 @pytest.fixture(scope="module")
 def statements(workload):
     return TopKBound(30, 30).statements(workload.rules)
-
-
-def _solve(published, statements, engine, config):
-    quantifier = PrivacyMaxEnt(
-        published, knowledge=statements, config=config, engine=engine
-    )
-    return quantifier.solve()
-
-
-@pytest.mark.benchmark(group="engine")
-def test_executor_backends(benchmark, results_dir, workload, statements):
-    config = MaxEntConfig(raise_on_infeasible=False, cache_size=0)
-
-    def run_all():
-        rows = []
-        solutions = {}
-        for name in ("serial", "thread", "process"):
-            with PrivacyEngine(executor=name, cache_size=0) as engine:
-                with Timer() as t:
-                    solution = _solve(
-                        workload.published, statements, engine, config
-                    )
-            solutions[name] = solution
-            rows.append(
-                [
-                    name,
-                    t.seconds,
-                    solution.stats.cpu_seconds,
-                    solution.stats.n_components,
-                    solution.stats.converged,
-                ]
-            )
-        return rows, solutions
-
-    rows, solutions = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    columns = ["executor", "wall (s)", "cpu (s)", "components", "converged"]
-    table = render_table(
-        columns,
-        rows,
-        title="Engine executors on a multi-component workload (160 buckets)",
-    )
-    save_result(results_dir, "engine_executors", table)
-    save_json(results_dir, "engine_executors", columns, rows)
-
-    # Parallelism must be invisible in the numbers: all three backends
-    # produce the same joint.
-    reference = solutions["serial"].p
-    for name in ("thread", "process"):
-        assert np.abs(solutions[name].p - reference).max() < 1e-12
-    assert all(row[4] for row in rows)
 
 
 @pytest.mark.benchmark(group="engine")

@@ -48,7 +48,7 @@ from repro.experiments.figures import (
 )
 from repro.knowledge.bounds import TopKBound
 from repro.knowledge.mining import MiningConfig, mine_association_rules
-from repro.maxent.config import MaxEntConfig
+from repro.maxent.config import EXECUTOR_NAMES, MaxEntConfig
 from repro.utils.tabulate import render_table
 
 
@@ -57,15 +57,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("execution engine")
     group.add_argument(
         "--executor",
-        choices=("serial", "thread", "process", "cluster"),
+        choices=EXECUTOR_NAMES,
         default=None,
-        help="fan decomposed components out across workers",
-    )
-    group.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for --executor thread/process (default: CPUs)",
+        help="where decomposed components are solved",
     )
     group.add_argument(
         "--cache-size",
@@ -107,8 +101,6 @@ def _engine_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     if args.executor is not None:
         overrides["executor"] = args.executor
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.cache_size is not None:
         overrides["cache_size"] = args.cache_size
     if getattr(args, "cluster_workers", None) is not None:
@@ -283,10 +275,6 @@ def _add_logging_args(parser: argparse.ArgumentParser) -> None:
 def _shard_worker_args(args: argparse.Namespace) -> list[str]:
     """CLI flags to replicate this serve command's engine on each shard."""
     forwarded: list[str] = []
-    if args.executor is not None and args.executor != "cluster":
-        forwarded += ["--executor", args.executor]
-    if args.workers is not None:
-        forwarded += ["--workers", str(args.workers)]
     if args.cache_size is not None:
         forwarded += ["--cache-size", str(args.cache_size)]
     forwarded += ["--queue-size", str(args.queue_size)]

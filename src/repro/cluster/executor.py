@@ -1,10 +1,10 @@
 """The ``"cluster"`` engine executor: components scattered over HTTP.
 
-A :class:`ClusterExecutor` plugs the shard fleet in as a fourth engine
-backend alongside serial/thread/process: the engine plans and
-cache-checks exactly as before, and the numeric fan-out step ships the
-pending flat-array component bundles to the coordinator instead of a
-local pool.  Fingerprints are the routing keys *and* the at-most-once
+A :class:`ClusterExecutor` plugs the shard fleet in as the engine's
+backend beside serial: the engine plans and cache-checks exactly as
+before, and the numeric solve step ships the pending flat-array
+component bundles to the coordinator instead of solving them
+in-process.  Fingerprints are the routing keys *and* the at-most-once
 dedup keys; the engine already computed them for its cache check, so
 its work items carry them through this seam and cold cluster solves no
 longer fingerprint every component twice — only components the engine
@@ -56,7 +56,7 @@ class ClusterExecutor:
     @property
     def workers(self) -> int:
         """Advertised parallelism: concurrency heuristics (the service's
-        max_concurrency default) read this like a pool's worker count.
+        max_concurrency default) read this as the fleet's width.
         A property, because an elastic fleet grows and shrinks under a
         live executor."""
         return max(self.coordinator.n_workers, 1)

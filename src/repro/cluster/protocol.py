@@ -65,8 +65,11 @@ from repro.service.client import ServiceClient
 #: ``/shard/v1/heartbeat`` messages, and solve responses name the
 #: worker by that identity.  A v4 coordinator would route by
 #: ``host:port`` while a v5 worker self-reports its persisted id, so a
-#: mixed fleet must fail loudly rather than split-brain the ring.)
-SHARD_PROTOCOL = "privacy-maxent-shard/5"
+#: mixed fleet must fail loudly rather than split-brain the ring.
+#: v6: the config lost the ``workers`` knob and the ``"thread"`` and
+#: ``"process"`` executors, so a v5 coordinator's config would fail a v6
+#: worker's strict decoder — the bump makes that a version mismatch.)
+SHARD_PROTOCOL = "privacy-maxent-shard/6"
 
 
 def check_protocol(payload, what: str) -> None:

@@ -17,9 +17,8 @@ the inherited service endpoints do the work — each worker owns its
 releases' compiled systems, solve caches and warm starts.  Under
 *component sharding* the components endpoint is the leaf of the
 coordinator's scatter: decode the flat-array bundles, cache-check them
-by the coordinator-supplied fingerprint, fan misses across this
-worker's own executor (``--executor thread/process`` turns each shard
-into a multi-core solver), and stream the bit-exact results back.
+by the coordinator-supplied fingerprint, solve misses on this worker's
+own engine, and stream the bit-exact results back.
 
 Start one with ``repro shard-worker``; it is just a process, so any
 process supervisor (systemd, k8s, a coordinator's ``spawn_local``) can

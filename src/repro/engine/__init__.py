@@ -1,8 +1,8 @@
-"""Execution engine: parallel component solves, solve cache, batching.
+"""Execution engine: component solves, solve cache, batching.
 
 The Section 5.5 decomposition splits the MaxEnt program into independent
-components — embarrassingly parallel work the sequential solver loop left
-on the table.  This package is the execution layer underneath
+components — work that can be cached, batched and scattered one
+component at a time.  This package is the execution layer underneath
 :func:`repro.maxent.solver.solve_maxent`:
 
 - :mod:`repro.engine.fingerprint` — canonical, order-independent hashes of
@@ -10,8 +10,8 @@ on the table.  This package is the execution layer underneath
   fingerprints key warm-start duals),
 - :mod:`repro.engine.cache` — a bounded LRU of solved components plus the
   warm-start multiplier store,
-- :mod:`repro.engine.executors` — serial / thread / process backends that
-  fan components out across workers,
+- :mod:`repro.engine.executors` — the in-process serial backend and the
+  entry point to the cluster scatter backend,
 - :mod:`repro.engine.plan` — splits a decomposed program into the batched
   closed-form path and the numeric path,
 - :mod:`repro.engine.engine` — :class:`PrivacyEngine`, the facade the core
@@ -27,12 +27,7 @@ from repro.engine.engine import (
     shared_engine,
     shutdown_shared_engines,
 )
-from repro.engine.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    create_executor,
-)
+from repro.engine.executors import SerialExecutor, create_executor
 from repro.engine.fingerprint import (
     component_fingerprint,
     fingerprint_system,
@@ -45,10 +40,8 @@ __all__ = [
     "ExecutionPlan",
     "bin_batch_groups",
     "PrivacyEngine",
-    "ProcessExecutor",
     "SerialExecutor",
     "SolveCache",
-    "ThreadExecutor",
     "WarmStartStore",
     "build_plan",
     "component_fingerprint",

@@ -1,6 +1,6 @@
 """The per-component numeric solve tasks.
 
-These are the units of work the executors fan out.  Two granularities
+These are the units of work the executors run.  Two granularities
 share one module so they stay in lockstep:
 
 - :func:`solve_component` — presolve one component, dispatch to the
@@ -12,8 +12,9 @@ share one module so they stay in lockstep:
   warm starts, telemetry — sees the same contract as per-component
   dispatch.
 
-Both task wrappers live at module level (not as closures) so the process
-backend can pickle them, and they return plain picklable data.
+Both task wrappers live at module level (not as closures): the cluster
+executor recognises them by identity to re-encode their jobs for the
+wire.
 """
 
 from __future__ import annotations
@@ -186,9 +187,10 @@ def solve_component(
 ) -> ComponentSolve:
     """Solve one component; the executor task.
 
-    ``stats.seconds`` measures this task's own elapsed time — under a
-    parallel executor the engine sums these into ``cpu_seconds`` and
-    reports overall wall time separately.
+    ``stats.seconds`` measures this task's own elapsed time — the engine
+    sums these into ``cpu_seconds`` and reports overall wall time
+    separately (they differ when a cluster solves components
+    concurrently).
     """
     with Timer() as timer:
         with Timer() as presolve_timer:
@@ -320,9 +322,8 @@ def solve_component_group_task(
 ) -> list[ComponentSolve]:
     """Executor task solving one *group* of components as a unit.
 
-    The engine fans groups out instead of single components so that a
-    batch group crosses the executor seam (thread/process/cluster) as
-    one work item.  Singleton groups take the plain per-component path;
+    The engine dispatches groups instead of single components so that a
+    batch group crosses the executor seam as one work item.  Singleton groups take the plain per-component path;
     larger groups take the stacked dual.  The fourth element carries the
     engine-computed solve fingerprints — unused for local solving, but
     the cluster executor reads them so cold cluster solves stop

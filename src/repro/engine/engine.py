@@ -1,4 +1,4 @@
-"""The execution engine facade: plan, fan out, cache, reassemble.
+"""The execution engine facade: plan, solve, cache, reassemble.
 
 :class:`PrivacyEngine` owns the executor backend, the component solve
 cache and the warm-start store, and runs the full Section 5.5 pipeline:
@@ -7,7 +7,7 @@ cache and the warm-start store, and runs the full Section 5.5 pipeline:
 2. build an :class:`~repro.engine.plan.ExecutionPlan`,
 3. solve every irrelevant component in one batched closed-form call,
 4. fingerprint each numeric component; cache hits return bit-identical
-   stored solutions, misses fan out across the executor (warm-started
+   stored solutions, misses run through the executor (warm-started
    from structurally identical past solves when available),
 5. reassemble the joint, aggregating per-component compute time
    (``cpu_seconds``) separately from wall time (``seconds``).
@@ -159,12 +159,9 @@ class PrivacyEngine:
     Parameters
     ----------
     executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"``, ``"cluster"``
-        (scatter components to shard workers over HTTP), or a pre-built
-        executor object (how a live cluster coordinator hands its
-        executor to an engine).
-    workers:
-        Worker count for pooled executors (``None``: CPU count).
+        ``"serial"`` (default), ``"cluster"`` (scatter components to
+        shard workers over HTTP), or a pre-built executor object (how a
+        live cluster coordinator hands its executor to an engine).
     cache_size:
         LRU bound on cached component solutions; ``0`` disables caching.
     cluster_workers:
@@ -176,13 +173,12 @@ class PrivacyEngine:
         self,
         *,
         executor: str = "serial",
-        workers: int | None = None,
         cache_size: int = 128,
         cache_path: str | os.PathLike | None = None,
         cluster_workers: str | None = None,
     ) -> None:
         self._executor = create_executor(
-            executor, workers, cluster_workers=cluster_workers
+            executor, cluster_workers=cluster_workers
         )
         self.cache = SolveCache(cache_size)
         self.warm_starts = WarmStartStore(cache_size)
@@ -218,7 +214,6 @@ class PrivacyEngine:
         """Build an engine from a config's execution knobs."""
         return cls(
             executor=config.executor,
-            workers=config.workers,
             cache_size=config.cache_size,
             cache_path=config.cache_path,
             cluster_workers=config.cluster_workers,
@@ -237,13 +232,13 @@ class PrivacyEngine:
         return self._closed
 
     def close(self) -> None:
-        """Persist the cache (when configured) and shut down worker pools.
+        """Persist the cache (when configured) and close the executor.
 
         Idempotent: repeated calls re-run only no-op teardown, so engines
         can be closed both explicitly and by the ``atexit`` teardown of
-        :func:`shutdown_shared_engines` without harm.  Worker pools are
-        torn down even when persisting the cache fails (full disk) — the
-        save error still propagates, but never leaks processes.
+        :func:`shutdown_shared_engines` without harm.  The executor is
+        closed even when persisting the cache fails (full disk) — the
+        save error still propagates, but never leaks the executor.
         """
         try:
             if self.cache_path and self.cache.enabled and not self._closed:
@@ -284,7 +279,6 @@ class PrivacyEngine:
             build = self.build_seconds
             decompose_s = self.decompose_seconds
             fingerprint_s = self.fingerprint_seconds
-        executor_shipping = getattr(self._executor, "shipping", None)
         return {
             "executor": self.executor_name,
             "workers": getattr(self._executor, "workers", 1),
@@ -296,18 +290,6 @@ class PrivacyEngine:
             # backend "auto" would resolve to on this host.
             "kernel_backend": (
                 ",".join(kernel_backends) or get_kernel("auto").name
-            ),
-            # Shared-memory component shipping (process executor only;
-            # other backends report zeros).
-            "shipping": (
-                executor_shipping.as_dict()
-                if executor_shipping is not None
-                else {
-                    "segments_created": 0,
-                    "segments_reused": 0,
-                    "segments_freed": 0,
-                    "active_segments": 0,
-                }
             ),
             "wall_seconds": wall,
             "cpu_seconds": cpu,
@@ -361,7 +343,7 @@ class PrivacyEngine:
         This is :meth:`solve` with the planning already done elsewhere: a
         cluster coordinator decomposed a system, fingerprinted the
         components, and scattered them here.  Each job is cache-checked
-        under its supplied fingerprint; misses fan out across this
+        under its supplied fingerprint; misses run through this
         engine's own executor; duplicate fingerprints within the batch
         solve once (at-most-once per key — the coordinator's dedup
         guarantee ends at this method).  Returns ``(solve, cached)`` per
@@ -422,7 +404,6 @@ class PrivacyEngine:
                 bin_batch_groups(
                     [component.n_vars for _, component, _, _ in pending],
                     config,
-                    workers=getattr(self._executor, "workers", 1),
                 ),
                 lambda entry, index: index,
             )
@@ -701,7 +682,7 @@ class PrivacyEngine:
         p: np.ndarray,
         stats_by_position: dict[int, SolverStats],
     ) -> tuple[float, float]:
-        """Cache-check then fan numeric components out.
+        """Cache-check numeric components, then solve the misses.
 
         Returns ``(cpu_seconds, fingerprint_seconds)`` — summed component
         compute time and the wall time spent encoding cache keys.
@@ -881,16 +862,15 @@ _SHARED_LOCK = threading.Lock()
 def shared_engine(config: MaxEntConfig | None = None) -> PrivacyEngine:
     """The process-wide engine for a config's execution knobs.
 
-    Engines are keyed by (executor, workers, cache_size), so every
-    ``solve_maxent`` call with the same knobs shares one cache — this is
-    what makes repeated quantifications (figure sweeps, skyline
-    enumeration, solver ablations) reuse each other's component solutions
-    without any plumbing.
+    Engines are keyed by (executor, cache_size, cache_path,
+    cluster_workers), so every ``solve_maxent`` call with the same knobs
+    shares one cache — this is what makes repeated quantifications
+    (figure sweeps, skyline enumeration, solver ablations) reuse each
+    other's component solutions without any plumbing.
     """
     config = config or MaxEntConfig()
     key = (
         config.executor,
-        config.workers,
         config.cache_size,
         config.cache_path,
         config.cluster_workers,
@@ -898,13 +878,7 @@ def shared_engine(config: MaxEntConfig | None = None) -> PrivacyEngine:
     with _SHARED_LOCK:
         engine = _SHARED_ENGINES.get(key)
         if engine is None:
-            engine = PrivacyEngine(
-                executor=config.executor,
-                workers=config.workers,
-                cache_size=config.cache_size,
-                cache_path=config.cache_path,
-                cluster_workers=config.cluster_workers,
-            )
+            engine = PrivacyEngine.from_config(config)
             _SHARED_ENGINES[key] = engine
         return engine
 
@@ -913,8 +887,8 @@ def shutdown_shared_engines() -> int:
     """Close every process-wide shared engine and forget them all.
 
     Each close persists the engine's cache (when a ``cache_path`` is
-    configured) and tears down its worker pools, so no process-pool
-    children outlive the registry.  Registered with :mod:`atexit` so a
+    configured) and closes its executor, so no cluster attachment
+    outlives the registry.  Registered with :mod:`atexit` so a
     normally exiting process always cleans up; safe to call repeatedly —
     after a shutdown, :func:`shared_engine` simply builds fresh engines.
     Returns the number of engines closed.

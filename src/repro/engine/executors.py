@@ -1,59 +1,38 @@
-"""Execution backends fanning component solves across workers.
+"""Execution backends for component solves.
 
 Decomposed components are independent sub-problems (Theorem 4 /
-Proposition 1), so solving them concurrently is a pure wall-clock
-optimization.  Three backends share one interface — ``map(fn, items)``
-preserving input order — so the engine is indifferent to where the work
-runs:
+Proposition 1), so where they run never changes the solution.  Backends
+share one interface — ``imap(fn, items)`` preserving input order — so the
+engine is indifferent to where the work runs:
 
-- :class:`SerialExecutor` — a plain loop; zero overhead, the default.
-- :class:`ThreadExecutor` — a thread pool.  scipy's optimizers release the
-  GIL inside the BLAS/LAPACK kernels, so threads help on systems whose
-  per-component work is matrix-heavy.
-- :class:`ProcessExecutor` — a process pool for CPU-bound Python-heavy
-  workloads.  Components, configs and results all pickle (plain
-  dataclasses holding numpy arrays), which is load-bearing: anything added
-  to those types must stay picklable.
+- :class:`SerialExecutor` — a plain loop in the calling process; the
+  default.  Small components are already stacked into one batched dual
+  per plan (:mod:`repro.maxent.batch_dual`), which is what makes one
+  core enough.
 - ``"cluster"`` — the cross-machine backend
   (:class:`repro.cluster.executor.ClusterExecutor`): components scatter
   over HTTP to long-lived shard workers.  Built here from the worker
   addresses in the config (or the ``REPRO_CLUSTER_WORKERS`` environment
   variable); the cluster package owns the implementation.
 
-Pools are created lazily and kept for the executor's lifetime (process
-startup is the dominant cost); ``close()`` tears them down, and executors
-work as context managers.  :func:`create_executor` also passes through
-pre-built executor objects (anything with ``imap``/``close``), which is
-how an engine adopts a cluster executor wired to an existing coordinator.
+Executors work as context managers.  :func:`create_executor` also passes
+through pre-built executor objects (anything with ``imap``/``close``),
+which is how an engine adopts a cluster executor wired to an existing
+coordinator.
 """
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
-import multiprocessing
-import os
-import pickle
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 
-from repro.engine import shipping
-from repro.engine.component import solve_component_group_task
 from repro.errors import ReproError
-
-EXECUTOR_NAMES = ("serial", "thread", "process", "cluster")
-
-
-def _default_workers() -> int:
-    return max(os.cpu_count() or 1, 1)
+from repro.maxent.config import EXECUTOR_NAMES
 
 
 class SerialExecutor:
     """Run tasks inline, in order.  The no-dependency baseline backend."""
 
     name = "serial"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = 1
 
     def imap(self, fn: Callable, items: Iterable):
         """Lazily apply ``fn`` item by item, in input order.
@@ -79,151 +58,7 @@ class SerialExecutor:
         self.close()
 
 
-class _PoolExecutor:
-    """Shared lazy-pool plumbing of the thread and process backends."""
-
-    name = "pool"
-    _pool_factory: Callable[..., concurrent.futures.Executor]
-
-    def __init__(self, workers: int | None = None) -> None:
-        if workers is not None and workers <= 0:
-            raise ReproError(f"workers must be positive, got {workers}")
-        self.workers = workers or _default_workers()
-        self._pool: concurrent.futures.Executor | None = None
-
-    def _ensure_pool(self) -> concurrent.futures.Executor:
-        if self._pool is None:
-            self._pool = self._pool_factory(max_workers=self.workers)
-            atexit.register(self.close)
-        return self._pool
-
-    def imap(self, fn: Callable, items: Iterable):
-        """Apply ``fn`` across the pool, yielding results in input order.
-
-        All tasks are submitted immediately (that is the parallelism);
-        results stream back in order as they complete.
-        """
-        items = list(items)
-        if len(items) <= 1:
-            # One task gains nothing from a pool (and on the process
-            # backend would pay a fork + pickle round-trip).
-            return (fn(item) for item in items)
-        return self._ensure_pool().map(fn, items)
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        """Apply ``fn`` across the pool, returning results in input order."""
-        return list(self.imap(fn, items))
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "_PoolExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool backend (GIL-releasing numeric kernels)."""
-
-    name = "thread"
-    _pool_factory = staticmethod(concurrent.futures.ThreadPoolExecutor)
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool backend (true CPU parallelism; tasks must pickle).
-
-    Group-solve dispatches ship their numpy payload through shared
-    memory when available (:mod:`repro.engine.shipping`): one segment
-    per ``imap`` call holds every job's arrays, workers map it read-through
-    as zero-copy views, and the parent unlinks it once all results are
-    in — falling back to plain pickle shipping when shared memory is
-    unavailable, disabled (``REPRO_SHM=0``) or allocation fails.
-
-    ``start_method`` optionally pins the multiprocessing start method
-    (``"fork"``/``"spawn"``/``"forkserver"``); ``None`` uses the
-    platform default.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        start_method: str | None = None,
-    ) -> None:
-        super().__init__(workers)
-        self.start_method = start_method
-        self.shipping = shipping.ShippingStats()
-        #: Tasks whose group jobs may ship out-of-band.  An instance
-        #: attribute so tests can route their own module-level tasks
-        #: through the shared-memory path.
-        self.ship_tasks = {solve_component_group_task}
-
-    def _pool_factory(self, max_workers: int):
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method
-            else None
-        )
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=context
-        )
-
-    def imap(self, fn: Callable, items: Iterable):
-        items = list(items)
-        if (
-            len(items) > 1
-            and fn in self.ship_tasks
-            and shipping.shipping_enabled()
-        ):
-            try:
-                headers, segment = shipping.ship_jobs(fn, items)
-            except (ReproError, OSError, ValueError, pickle.PicklingError):
-                # Anything unshippable falls back to pickle transport.
-                return super().imap(fn, items)
-            self.shipping.segments_created += 1
-            self.shipping.segments_reused += len(items) - 1
-            self.shipping.active.append(segment.name)
-
-            def free():
-                shipping.release_segment(segment)
-                self.shipping.segments_freed += 1
-                if segment.name in self.shipping.active:
-                    self.shipping.active.remove(segment.name)
-
-            try:
-                # Submit eagerly (that is the parallelism), stream back.
-                results = self._ensure_pool().map(
-                    shipping.run_shipped_task, headers
-                )
-            except BaseException:
-                free()
-                raise
-
-            def stream():
-                try:
-                    yield from results
-                finally:
-                    # Runs on normal completion, on a broken pool (worker
-                    # crash) and on abandonment — segments never orphan.
-                    free()
-
-            return stream()
-        return super().imap(fn, items)
-
-
-def create_executor(
-    name,
-    workers: int | None = None,
-    *,
-    cluster_workers: str | None = None,
-):
+def create_executor(name, *, cluster_workers: str | None = None):
     """Build the executor backend called ``name``.
 
     A pre-built executor object (``imap`` + ``close``) passes through
@@ -242,10 +77,6 @@ def create_executor(
         )
     if name == "serial":
         return SerialExecutor()
-    if name == "thread":
-        return ThreadExecutor(workers)
-    if name == "process":
-        return ProcessExecutor(workers)
     if name == "cluster":
         # Imported here: the cluster package builds *on* the engine, so
         # the engine must not import it at module load.

@@ -3,9 +3,9 @@
 A plan is the engine's unit of scheduling: the decomposition's components,
 split into the *batched closed-form* path (irrelevant components of a
 group space, Definition 5.6 — all solved in one vectorized Eq. (9) call)
-and the *numeric* path (everything touched by knowledge, fanned out across
-the configured executor).  When the config opts into the batched dual
-solver, the numeric path is additionally binned into *batch groups* —
+and the *numeric* path (everything touched by knowledge, dispatched
+through the configured executor).  When the config opts into the batched
+dual solver, the numeric path is additionally binned into *batch groups* —
 sets of small components an executor dispatches as one work item and
 solves through one stacked block-diagonal dual
 (:mod:`repro.maxent.batch_dual`).  Keeping the classification separate
@@ -15,7 +15,6 @@ schedule the same plan differently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.maxent.config import MaxEntConfig
@@ -41,7 +40,6 @@ class ExecutionPlan:
     #: individually.
     batch_groups: list[list[int]] = field(default_factory=list)
     executor: str = "serial"
-    workers: int | None = None
     #: Wall time of the Section 5.5 decomposition that produced the plan.
     decompose_seconds: float = 0.0
 
@@ -67,20 +65,15 @@ class ExecutionPlan:
 
 
 def bin_batch_groups(
-    sizes: list[int],
-    config: MaxEntConfig,
-    *,
-    workers: int | None = None,
+    sizes: list[int], config: MaxEntConfig
 ) -> list[list[int]]:
     """Bin work items (given their variable counts) into batch groups.
 
     Returns lists of *positions into ``sizes``*: items whose size is at
     most ``config.batch_max_vars`` are grouped in order, at most
-    ``config.batch_components`` per group — and when a pooled executor
-    offers ``workers`` slots, groups are split further so the fan-out
-    keeps every slot busy.  Groups always hold >= 2 items (a singleton
-    gains nothing from stacking); ineligible or leftover items are
-    simply absent.  Used by both :func:`build_plan` (full solves) and
+    ``config.batch_components`` per group.  Groups always hold >= 2
+    items (a singleton gains nothing from stacking); ineligible or
+    leftover items are simply absent.  Used by both :func:`build_plan` (full solves) and
     the engine's shard entry point (pre-fingerprinted bundles).
     """
     if not config.batching_enabled:
@@ -93,10 +86,6 @@ def bin_batch_groups(
     if len(eligible) < 2:
         return []
     per_group = config.batch_components
-    if workers and workers > 1:
-        per_group = min(
-            per_group, max(math.ceil(len(eligible) / workers), 2)
-        )
     groups = [
         eligible[start : start + per_group]
         for start in range(0, len(eligible), per_group)
@@ -119,7 +108,6 @@ def build_plan(
     plan = ExecutionPlan(
         components=components,
         executor=config.executor,
-        workers=config.workers,
         decompose_seconds=timer.seconds,
     )
     closed_form_ok = config.use_closed_form and isinstance(
@@ -131,20 +119,9 @@ def build_plan(
         else:
             plan.numeric.append(position)
     groups = bin_batch_groups(
-        [components[pos].n_vars for pos in plan.numeric],
-        config,
-        workers=_fanout_width(config),
+        [components[pos].n_vars for pos in plan.numeric], config
     )
     plan.batch_groups = [
         [plan.numeric[index] for index in group] for group in groups
     ]
     return plan
-
-
-def _fanout_width(config: MaxEntConfig) -> int | None:
-    """Parallel slots the executor offers (grouping granularity hint)."""
-    if config.executor in ("thread", "process"):
-        import os
-
-        return config.workers or os.cpu_count() or 1
-    return None

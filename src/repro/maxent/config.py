@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 
 _SOLVER_NAMES = ("lbfgs", "newton", "gis", "iis", "primal")
-_EXECUTOR_NAMES = ("serial", "thread", "process", "cluster")
+#: Executor backends (:mod:`repro.engine.executors`); the CLI's
+#: ``--executor`` choices read this tuple too.
+EXECUTOR_NAMES = ("serial", "cluster")
 _REPLAY_NAMES = ("tolerance", "bitwise")
 _KERNEL_NAMES = ("auto", "numpy", "numba")
 
@@ -65,15 +67,11 @@ class MaxEntConfig:
         contradictory constraints; otherwise return with
         ``stats.converged = False``.
     executor:
-        How decomposed components are fanned out: ``"serial"`` (default),
-        ``"thread"``, ``"process"``, or ``"cluster"`` (scatter to
-        long-lived shard workers over HTTP — see :mod:`repro.cluster`).
-        Components are independent sub-problems, so parallel execution is
-        a pure wall-clock optimization — the solution is identical by
-        construction.
-    workers:
-        Worker count for the thread/process executors (``None`` uses the
-        machine's CPU count).
+        Where decomposed components are solved: ``"serial"`` (default,
+        in the calling process) or ``"cluster"`` (scatter to long-lived
+        shard workers over HTTP — see :mod:`repro.cluster`).  Components
+        are independent sub-problems, so the backend never changes the
+        solution.
     cluster_workers:
         Comma-separated ``host:port`` list of shard workers the
         ``"cluster"`` executor attaches to; ``None`` falls back to the
@@ -147,7 +145,6 @@ class MaxEntConfig:
     drop_redundant: bool = False
     # Execution-engine knobs (see repro.engine).
     executor: str = "serial"
-    workers: int | None = None
     cache_size: int = 128
     cache_path: str | None = None
     warm_start: bool = True
@@ -178,13 +175,11 @@ class MaxEntConfig:
             raise ReproError(f"tol must be positive, got {self.tol}")
         if self.max_iterations <= 0:
             raise ReproError("max_iterations must be positive")
-        if self.executor not in _EXECUTOR_NAMES:
+        if self.executor not in EXECUTOR_NAMES:
             raise ReproError(
                 f"unknown executor {self.executor!r}; choose one of "
-                f"{_EXECUTOR_NAMES}"
+                f"{EXECUTOR_NAMES}"
             )
-        if self.workers is not None and self.workers <= 0:
-            raise ReproError(f"workers must be positive, got {self.workers}")
         if self.cache_size < 0:
             raise ReproError(
                 f"cache_size must be non-negative, got {self.cache_size}"

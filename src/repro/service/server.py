@@ -105,6 +105,10 @@ DEFAULT_PORT = 8711
 #: server-side trace into its own: ``"<trace_id>:<span_id>"``.
 TRACE_HEADER = "x-repro-trace"
 
+#: Seconds :meth:`PrivacyService.stop` gives a connection that is
+#: mid-request to finish its response before cancelling its handler.
+STOP_GRACE_SECONDS = 1.0
+
 _log = get_logger("service")
 
 
@@ -170,20 +174,6 @@ def engine_metrics(
         stats.get("warm_starts", 0),
         labels,
         "Warm-start dual vectors resident.",
-    )
-    shipping = stats.get("shipping", {})
-    for counter in ("created", "reused", "freed"):
-        builder.counter(
-            f"engine_shipping_segments_{counter}_total",
-            shipping.get(f"segments_{counter}", 0),
-            labels,
-            f"Shared-memory shipping segments {counter}.",
-        )
-    builder.gauge(
-        "engine_shipping_segments_active",
-        shipping.get("active_segments", 0),
-        labels,
-        "Shared-memory segments currently mapped.",
     )
 
 
@@ -285,6 +275,11 @@ class PrivacyService:
         self.port = self.config.port
         self.events = EventLog()
         self._draining = False
+        # Live connection handlers (task -> writer), the subset parked
+        # between requests, and whether shutdown has begun closing them.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: set[asyncio.Task] = set()
+        self._closing = False
         self.durability: DurableState | None = None
         if self.config.state_dir:
             self.durability = DurableState(
@@ -329,11 +324,37 @@ class PrivacyService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting connections (the engine outlives the socket)."""
+        """Stop accepting connections and close the open ones.
+
+        The engine outlives the socket.  Every connection handler has
+        finished when this returns (see :meth:`_close_connections`).
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        await self._close_connections(STOP_GRACE_SECONDS)
+
+    async def _close_connections(self, grace: float) -> None:
+        """Close idle keep-alive connections and await every handler.
+
+        A handler parked between requests is woken by closing its
+        transport: it reads end-of-stream and returns.  A handler that is
+        mid-request sends its response with ``Connection: close`` if it
+        finishes within ``grace`` seconds, and is cancelled otherwise.
+        Either way no handler task outlives the event loop, which would
+        otherwise report it destroyed while pending.
+        """
+        self._closing = True
+        for task in self._idle:
+            self._connections[task].close()
+        handlers = list(self._connections)
+        if not handlers:
+            return
+        _, late = await asyncio.wait(handlers, timeout=grace)
+        for task in late:
+            task.cancel()
+        await asyncio.gather(*late, return_exceptions=True)
 
     async def drain(self, timeout: float | None = None) -> None:
         """Graceful SIGTERM drain: finish in-flight work, snapshot, stop.
@@ -341,8 +362,9 @@ class PrivacyService:
         New connections are refused immediately (the listener closes;
         established keep-alive connections see ``/v1/healthz`` answer
         "draining"), in-flight solves get up to ``timeout`` seconds
-        (default ``drain_timeout``) to finish, and the final snapshot
-        makes the journal replay on the next boot empty.
+        (default ``drain_timeout``) to finish, then the open connections
+        close, and the final snapshot makes the journal replay on the
+        next boot empty.
         """
         budget = self.config.drain_timeout if timeout is None else timeout
         self._draining = True
@@ -357,6 +379,7 @@ class PrivacyService:
             self.admission.depth > 0 or self.coalescer.inflight > 0
         ) and loop.time() < give_up:
             await asyncio.sleep(0.02)
+        await self._close_connections(max(give_up - loop.time(), 0.0))
         if self.durability is not None:
             path = await loop.run_in_executor(
                 None, self.durability.write_snapshot, self.store, self.ingest
@@ -434,8 +457,11 @@ class PrivacyService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(task)
                 try:
                     request = await read_request(
                         reader, max_body=self.config.max_body_bytes
@@ -451,6 +477,8 @@ class PrivacyService:
                     )
                     await writer.drain()
                     return
+                finally:
+                    self._idle.discard(task)
                 if request is None:
                     return
                 started = time.perf_counter()
@@ -468,7 +496,7 @@ class PrivacyService:
                         request
                     )
                     span.set(endpoint=endpoint, status=status)
-                keep_alive = request.keep_alive
+                keep_alive = request.keep_alive and not self._closing
                 if isinstance(payload, TextResponse):
                     body = payload.encode()
                     content_type = payload.content_type
@@ -493,6 +521,7 @@ class PrivacyService:
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
             pass
         finally:
+            self._connections.pop(task, None)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()

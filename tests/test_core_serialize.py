@@ -138,6 +138,13 @@ class TestConfigsAndBounds:
     def test_config_unknown_knob_rejected(self):
         with pytest.raises(ReproError, match="unknown field"):
             wire.config_from_dict({"warp_speed": 9})
+        # Knobs and executors that no longer exist are rejected, not
+        # silently dropped.
+        with pytest.raises(ReproError, match="unknown field"):
+            wire.config_from_dict({"workers": 2})
+        for removed in ("thread", "process"):
+            with pytest.raises(ReproError, match="unknown executor"):
+                wire.config_from_dict({"executor": removed})
 
     def test_bound_round_trip(self):
         bound = TopKBound(5, 3, epsilon=0.01)

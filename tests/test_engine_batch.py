@@ -159,12 +159,6 @@ class TestBinning:
         groups = bin_batch_groups([1, 2, 3, 4, 5], config)
         assert groups == [[0, 1], [2, 3]]  # trailing singleton dropped
 
-    def test_workers_split_the_fanout(self):
-        config = MaxEntConfig(batch_components=100, batch_max_vars=10)
-        groups = bin_batch_groups(list(range(1, 9)), config, workers=4)
-        assert len(groups) == 4
-        assert all(len(g) == 2 for g in groups)
-
     def test_fewer_than_two_eligible(self):
         config = MaxEntConfig(batch_components=8, batch_max_vars=10)
         assert bin_batch_groups([5, 50, 60], config) == []
@@ -279,23 +273,6 @@ class TestEngineEquivalence:
             == solution.stats.batched_components
             > 0
         )
-
-    def test_process_executor_ships_batch_groups(self):
-        space, system = _synthetic_workload()
-        config = MaxEntConfig(
-            raise_on_infeasible=False,
-            batch_components=512,
-            batch_max_vars=512,
-            executor="process",
-            workers=2,
-        )
-        with PrivacyEngine(
-            executor="process", workers=2, cache_size=0
-        ) as engine:
-            solution = engine.solve(space, system, config)
-        baseline = PrivacyEngine(cache_size=0).solve(space, system, PLAIN)
-        assert solution.stats.batched_components > 0
-        assert np.abs(solution.p - baseline.p).max() <= 100 * TOL
 
 
 class TestShardEntryPoint:

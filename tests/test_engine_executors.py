@@ -1,7 +1,8 @@
 """Executor backends and the PrivacyEngine facade.
 
-The load-bearing property: serial, thread and process execution produce the
-*same* MaxEntSolution — parallelism is pure wall-clock optimization.
+The load-bearing property: the engine is indifferent to how its executor
+runs the work — lazily in order (serial) or eagerly, all at once (the
+cluster scatter's shape) — and produces the *same* MaxEntSolution.
 """
 
 import numpy as np
@@ -14,11 +15,7 @@ from repro.engine import (
     create_executor,
     shared_engine,
 )
-from repro.engine.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.engine.executors import SerialExecutor
 from repro.errors import ReproError
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalProbability
@@ -28,7 +25,21 @@ from repro.maxent.constraints import data_constraints
 from repro.maxent.indexing import GroupVariableSpace
 from tests.helpers import random_published
 
-EXECUTORS = ("serial", "thread", "process")
+
+class EagerExecutor:
+    """A pre-built executor object that runs every job before returning.
+
+    Stands in for the cluster executor's shape (one eager scatter per
+    call) without a fleet.
+    """
+
+    name = "eager"
+
+    def imap(self, fn, items):
+        return [fn(item) for item in items]
+
+    def close(self) -> None:
+        pass
 
 
 def paper_instance():
@@ -82,62 +93,60 @@ def multi_component_instance():
 
 class TestBackends:
     def test_map_preserves_order(self):
-        for executor in (SerialExecutor(), ThreadExecutor(2)):
-            with executor:
-                assert executor.map(abs, [-3, 1, -2]) == [3, 1, 2]
-
-    def test_process_map_preserves_order(self):
-        with ProcessExecutor(2) as executor:
+        with SerialExecutor() as executor:
             assert executor.map(abs, [-3, 1, -2]) == [3, 1, 2]
 
-    def test_single_item_skips_pool(self):
-        executor = ThreadExecutor(2)
-        assert executor.map(abs, [-5]) == [5]
-        assert executor._pool is None  # lazy pool never created
-        executor.close()
+    def test_imap_is_lazy(self):
+        calls = []
+
+        def record(item):
+            calls.append(item)
+            return item
+
+        results = SerialExecutor().imap(record, [1, 2, 3])
+        assert calls == []  # nothing runs until the caller pulls
+        assert next(results) == 1
+        assert calls == [1]
+        assert list(results) == [2, 3]
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ReproError):
-            create_executor("gpu")
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ReproError):
-            ThreadExecutor(0)
+        for name in ("gpu", "thread", "process"):
+            with pytest.raises(ReproError, match="unknown executor"):
+                create_executor(name)
 
     def test_close_is_idempotent(self):
-        executor = ThreadExecutor(2)
+        executor = SerialExecutor()
         executor.map(abs, [-1, -2])
         executor.close()
         executor.close()
 
 
 class TestExecutorEquivalence:
-    """All three backends must produce the same MaxEntSolution."""
+    """Lazy and eager executors must produce the same MaxEntSolution."""
 
     @pytest.mark.parametrize("instance", ["paper", "multi"])
     def test_same_solution(self, instance):
         space, system = (
             paper_instance() if instance == "paper" else multi_component_instance()
         )
-        solutions = {}
-        for name in EXECUTORS:
-            with PrivacyEngine(executor=name, workers=2, cache_size=0) as eng:
-                solutions[name] = eng.solve(
-                    space, system, MaxEntConfig(raise_on_infeasible=False)
-                )
-        reference = solutions["serial"]
-        for name in ("thread", "process"):
-            other = solutions[name]
-            assert np.abs(other.p - reference.p).max() < 1e-12
-            assert other.stats.converged == reference.stats.converged
-            assert other.stats.n_components == reference.stats.n_components
-            assert [r.stats.converged for r in other.components] == [
-                r.stats.converged for r in reference.components
-            ]
+        config = MaxEntConfig(raise_on_infeasible=False)
+        with PrivacyEngine(cache_size=0) as eng:
+            reference = eng.solve(space, system, config)
+        with PrivacyEngine(executor=EagerExecutor(), cache_size=0) as eng:
+            assert eng.executor_name == "eager"
+            other = eng.solve(space, system, config)
+        assert np.abs(other.p - reference.p).max() < 1e-12
+        assert other.stats.converged == reference.stats.converged
+        assert other.stats.n_components == reference.stats.n_components
+        assert [r.stats.converged for r in other.components] == [
+            r.stats.converged for r in reference.components
+        ]
 
     def test_parallel_timing_aggregates(self):
+        # cpu_seconds sums per-component compute; wall time is separate
+        # (the two differ when a cluster solves components concurrently).
         space, system = multi_component_instance()
-        with PrivacyEngine(executor="thread", workers=2, cache_size=0) as eng:
+        with PrivacyEngine(cache_size=0) as eng:
             solution = eng.solve(space, system)
         component_cpu = sum(
             r.stats.seconds
@@ -176,9 +185,9 @@ class TestEngineFacade:
 
     def test_from_config_reads_knobs(self):
         engine = PrivacyEngine.from_config(
-            MaxEntConfig(executor="thread", workers=3, cache_size=5)
+            MaxEntConfig(executor="serial", cache_size=5)
         )
-        assert engine.executor_name == "thread"
+        assert engine.executor_name == "serial"
         assert engine.cache.max_entries == 5
         engine.close()
 
@@ -208,7 +217,10 @@ class TestEngineFacade:
     def test_config_validates_engine_knobs(self):
         with pytest.raises(ReproError):
             MaxEntConfig(executor="gpu")
-        with pytest.raises(ReproError):
-            MaxEntConfig(workers=0)
+        for removed in ("thread", "process"):
+            with pytest.raises(ReproError):
+                MaxEntConfig(executor=removed)
+        with pytest.raises(TypeError):
+            MaxEntConfig(workers=2)
         with pytest.raises(ReproError):
             MaxEntConfig(cache_size=-1)
