@@ -47,7 +47,7 @@ def test_cache_cold_vs_warm(benchmark, results_dir, workload, statements):
         rows = []
         # Cold: every repeat pays the full solve (cache disabled).
         cold_config = MaxEntConfig(raise_on_infeasible=False, cache_size=0)
-        with PrivacyEngine(executor="serial", cache_size=0) as engine:
+        with PrivacyEngine(cache_size=0) as engine:
             with Timer() as t:
                 for _ in range(REPEATS):
                     engine.solve(space, system, cold_config)
@@ -56,7 +56,7 @@ def test_cache_cold_vs_warm(benchmark, results_dir, workload, statements):
 
         # Warm: the first solve fills the cache, the rest replay it — the
         # figure-sweep / skyline-enumeration access pattern.
-        with PrivacyEngine(executor="serial", cache_size=256) as engine:
+        with PrivacyEngine(cache_size=256) as engine:
             engine.solve(space, system, config)
             with Timer() as t:
                 for _ in range(REPEATS):

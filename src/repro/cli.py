@@ -12,8 +12,8 @@ Subcommands cover the full workflow a data publisher runs:
 - ``serve`` — run the long-lived privacy-quantification service
   (:mod:`repro.service`) over a shared execution engine, or with
   ``--shards N`` the sharded multi-engine front-end (:mod:`repro.cluster`),
-- ``shard-worker`` — run one cluster shard worker (an engine plus the
-  shard wire-protocol endpoints a coordinator drives),
+- ``shard-worker`` — run one release-sharding worker (a privacy service
+  with a shard identity, driven by a sharded front-end),
 - ``ingest`` — stream a database table through a connector
   (:mod:`repro.data.connectors`), anonymize it chunk by chunk, and
   register it — against a running service via the chunked upload
@@ -48,7 +48,7 @@ from repro.experiments.figures import (
 )
 from repro.knowledge.bounds import TopKBound
 from repro.knowledge.mining import MiningConfig, mine_association_rules
-from repro.maxent.config import EXECUTOR_NAMES, MaxEntConfig
+from repro.maxent.config import KERNEL_NAMES, REPLAY_NAMES, MaxEntConfig
 from repro.utils.tabulate import render_table
 
 
@@ -56,28 +56,14 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     """Execution-engine knobs shared by every solving subcommand."""
     group = parser.add_argument_group("execution engine")
     group.add_argument(
-        "--executor",
-        choices=EXECUTOR_NAMES,
-        default=None,
-        help="where decomposed components are solved",
-    )
-    group.add_argument(
         "--cache-size",
         type=int,
         default=None,
         help="bound of the component solve cache (0 disables)",
     )
     group.add_argument(
-        "--cluster-workers",
-        default=None,
-        help=(
-            "host:port,host:port shard workers for --executor cluster "
-            "(default: the REPRO_CLUSTER_WORKERS environment variable)"
-        ),
-    )
-    group.add_argument(
         "--replay",
-        choices=("tolerance", "bitwise"),
+        choices=REPLAY_NAMES,
         default=None,
         help=(
             "solve-result contract: 'tolerance' (default) lets the batched "
@@ -87,7 +73,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "numba"),
+        choices=KERNEL_NAMES,
         default=None,
         help=(
             "segment-kernel backend of the batched solver: 'auto' "
@@ -99,15 +85,11 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
 def _engine_overrides(args: argparse.Namespace) -> dict:
     """The MaxEntConfig overrides the engine flags imply (unset: keep)."""
     overrides = {}
-    if args.executor is not None:
-        overrides["executor"] = args.executor
     if args.cache_size is not None:
         overrides["cache_size"] = args.cache_size
-    if getattr(args, "cluster_workers", None) is not None:
-        overrides["cluster_workers"] = args.cluster_workers
-    if getattr(args, "replay", None) is not None:
+    if args.replay is not None:
         overrides["replay"] = args.replay
-    if getattr(args, "kernel", None) is not None:
+    if args.kernel is not None:
         overrides["kernel"] = args.kernel
     return overrides
 

@@ -1,18 +1,16 @@
 """One retry policy for every cluster transport path.
 
-Before this module, backoff logic was scattered: the coordinator's 429
-loop backed off deterministically (colliding chunks re-collided in
-lockstep), the front-end's failover condemned a successor on a single
-failed registration attempt, and every timeout was a hardcoded module
-constant.  :class:`RetryPolicy` centralises all of it:
+Before this module, the front-end's failover condemned a successor on a
+single failed registration attempt, and every timeout was a hardcoded
+module constant.  :class:`RetryPolicy` centralises all of it:
 
 - *jittered exponential backoff* — delays grow geometrically from
   ``base_delay`` to ``max_delay`` with a uniform ``±jitter`` fraction,
   so two callers that collided once de-correlate instead of hammering
   the same worker on the same schedule forever;
 - *deadline budgets* — a policy (or a single :meth:`run`) can carry an
-  overall time budget, the shape the 429 absorb-in-place loop needs:
-  retry as long as the solve timeout allows, then surface the error;
+  overall time budget: retry as long as the budget allows, then
+  surface the error;
 - *env/CLI configuration* — every knob reads a ``REPRO_CLUSTER_*``
   variable (:func:`cluster_env_float` / :func:`cluster_env_int`) so
   deployments tune transport behaviour without code changes, and the

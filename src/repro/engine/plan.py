@@ -3,14 +3,12 @@
 A plan is the engine's unit of scheduling: the decomposition's components,
 split into the *batched closed-form* path (irrelevant components of a
 group space, Definition 5.6 — all solved in one vectorized Eq. (9) call)
-and the *numeric* path (everything touched by knowledge, dispatched
-through the configured executor).  When the config opts into the batched
-dual solver, the numeric path is additionally binned into *batch groups* —
-sets of small components an executor dispatches as one work item and
+and the *numeric* path (everything touched by knowledge, solved by the
+engine's dispatch loop).  When the config opts into the batched dual
+solver, the numeric path is additionally binned into *batch groups* —
+sets of small components the engine dispatches as one work unit and
 solves through one stacked block-diagonal dual
-(:mod:`repro.maxent.batch_dual`).  Keeping the classification separate
-from execution is what lets later scaling work (sharding, async serving)
-schedule the same plan differently.
+(:mod:`repro.maxent.batch_dual`).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ class ExecutionPlan:
     #: as single stacked-dual work items; positions in no group dispatch
     #: individually.
     batch_groups: list[list[int]] = field(default_factory=list)
-    executor: str = "serial"
     #: Wall time of the Section 5.5 decomposition that produced the plan.
     decompose_seconds: float = 0.0
 
@@ -59,8 +56,8 @@ class ExecutionPlan:
         )
         return (
             f"{self.n_components} component(s): {len(self.closed_form)} "
-            f"closed-form (batched), {len(self.numeric)} numeric via "
-            f"{self.executor!r} executor{batching}"
+            f"closed-form (batched), {len(self.numeric)} numeric"
+            f"{batching}"
         )
 
 
@@ -73,8 +70,7 @@ def bin_batch_groups(
     most ``config.batch_max_vars`` are grouped in order, at most
     ``config.batch_components`` per group.  Groups always hold >= 2
     items (a singleton gains nothing from stacking); ineligible or
-    leftover items are simply absent.  Used by both :func:`build_plan` (full solves) and
-    the engine's shard entry point (pre-fingerprinted bundles).
+    leftover items are simply absent.
     """
     if not config.batching_enabled:
         return []
@@ -106,9 +102,7 @@ def build_plan(
     with Timer() as timer:
         components = decompose(space, system, enabled=config.decompose)
     plan = ExecutionPlan(
-        components=components,
-        executor=config.executor,
-        decompose_seconds=timer.seconds,
+        components=components, decompose_seconds=timer.seconds
     )
     closed_form_ok = config.use_closed_form and isinstance(
         space, GroupVariableSpace

@@ -15,7 +15,7 @@ from repro.errors import KnowledgeError
 from repro.knowledge.mining import RuleSet
 from repro.knowledge.rules import AssociationRule
 from repro.knowledge.statements import Statement
-from repro.utils.validation import check_non_negative_int
+from repro.utils.validation import check_finite_real, check_non_negative_int
 
 
 def _dedupe(rules: list[AssociationRule]) -> list[AssociationRule]:
@@ -59,7 +59,7 @@ class TopKBound:
     def __post_init__(self) -> None:
         check_non_negative_int(self.k_positive, name="k_positive")
         check_non_negative_int(self.k_negative, name="k_negative")
-        if self.epsilon < 0:
+        if check_finite_real(self.epsilon, name="epsilon") < 0:
             raise KnowledgeError(f"epsilon must be >= 0, got {self.epsilon}")
 
     @property

@@ -13,13 +13,27 @@ import os
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
+from repro.utils.validation import (
+    check_finite_real,
+    check_flag,
+    check_non_negative_int,
+    check_positive_int,
+)
 
 _SOLVER_NAMES = ("lbfgs", "newton", "gis", "iis", "primal")
-#: Executor backends (:mod:`repro.engine.executors`); the CLI's
-#: ``--executor`` choices read this tuple too.
-EXECUTOR_NAMES = ("serial", "cluster")
-_REPLAY_NAMES = ("tolerance", "bitwise")
-_KERNEL_NAMES = ("auto", "numpy", "numba")
+#: Replay contracts and segment-kernel backends; the CLI's ``--replay``
+#: and ``--kernel`` choices read these tuples too.
+REPLAY_NAMES = ("tolerance", "bitwise")
+KERNEL_NAMES = ("auto", "numpy", "numba")
+
+_FLAG_FIELDS = (
+    "decompose",
+    "use_presolve",
+    "use_closed_form",
+    "raise_on_infeasible",
+    "drop_redundant",
+    "warm_start",
+)
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -66,16 +80,6 @@ class MaxEntConfig:
         Raise :class:`InfeasibleKnowledgeError` when the residual indicates
         contradictory constraints; otherwise return with
         ``stats.converged = False``.
-    executor:
-        Where decomposed components are solved: ``"serial"`` (default,
-        in the calling process) or ``"cluster"`` (scatter to long-lived
-        shard workers over HTTP — see :mod:`repro.cluster`).  Components
-        are independent sub-problems, so the backend never changes the
-        solution.
-    cluster_workers:
-        Comma-separated ``host:port`` list of shard workers the
-        ``"cluster"`` executor attaches to; ``None`` falls back to the
-        ``REPRO_CLUSTER_WORKERS`` environment variable.
     cache_size:
         Bound of the per-engine LRU solve cache (entries are solved
         components, keyed by a canonical constraint-system fingerprint).
@@ -97,7 +101,7 @@ class MaxEntConfig:
         grouping, caching and kernel-backend differences — which lets
         the batched block-diagonal dual run by default.  ``"bitwise"``
         forces the per-component solve path (batching off), restoring
-        bit-identical replays across executors and re-runs for
+        bit-identical replays across cache states and re-runs for
         workflows that diff posteriors byte for byte; its cache entries
         are keyed separately (see :meth:`solve_key`) so a bitwise
         replay never consumes a tolerance-path entry.  Default
@@ -144,11 +148,9 @@ class MaxEntConfig:
     # mild preconditioner along bucket-mass directions), so default off.
     drop_redundant: bool = False
     # Execution-engine knobs (see repro.engine).
-    executor: str = "serial"
     cache_size: int = 128
     cache_path: str | None = None
     warm_start: bool = True
-    cluster_workers: str | None = None
     # The solve-result reproducibility contract and the segment-kernel
     # backend (repro.maxent.kernels).
     replay: str = field(
@@ -167,42 +169,41 @@ class MaxEntConfig:
     )
 
     def __post_init__(self) -> None:
+        # Type checks come first: a config decoded from JSON can carry
+        # any value, and each must fail as a ReproError (HTTP 400), not
+        # as a TypeError from a comparison below.
         if self.solver not in _SOLVER_NAMES:
             raise ReproError(
                 f"unknown solver {self.solver!r}; choose one of {_SOLVER_NAMES}"
             )
-        if self.tol <= 0:
+        for name in _FLAG_FIELDS:
+            check_flag(getattr(self, name), name=name)
+        if check_finite_real(self.tol, name="tol") <= 0:
             raise ReproError(f"tol must be positive, got {self.tol}")
-        if self.max_iterations <= 0:
-            raise ReproError("max_iterations must be positive")
-        if self.executor not in EXECUTOR_NAMES:
+        check_finite_real(
+            self.infeasibility_threshold, name="infeasibility_threshold"
+        )
+        check_positive_int(self.max_iterations, name="max_iterations")
+        check_non_negative_int(self.cache_size, name="cache_size")
+        if self.cache_path is not None and not isinstance(
+            self.cache_path, (str, os.PathLike)
+        ):
             raise ReproError(
-                f"unknown executor {self.executor!r}; choose one of "
-                f"{EXECUTOR_NAMES}"
+                "cache_path must be a path or None, got "
+                f"{type(self.cache_path).__name__}"
             )
-        if self.cache_size < 0:
-            raise ReproError(
-                f"cache_size must be non-negative, got {self.cache_size}"
-            )
-        if self.replay not in _REPLAY_NAMES:
+        if self.replay not in REPLAY_NAMES:
             raise ReproError(
                 f"unknown replay contract {self.replay!r}; choose one of "
-                f"{_REPLAY_NAMES}"
+                f"{REPLAY_NAMES}"
             )
-        if self.kernel not in _KERNEL_NAMES:
+        if self.kernel not in KERNEL_NAMES:
             raise ReproError(
                 f"unknown kernel {self.kernel!r}; choose one of "
-                f"{_KERNEL_NAMES}"
+                f"{KERNEL_NAMES}"
             )
-        if self.batch_components < 0:
-            raise ReproError(
-                f"batch_components must be non-negative, got "
-                f"{self.batch_components}"
-            )
-        if self.batch_max_vars <= 0:
-            raise ReproError(
-                f"batch_max_vars must be positive, got {self.batch_max_vars}"
-            )
+        check_non_negative_int(self.batch_components, name="batch_components")
+        check_positive_int(self.batch_max_vars, name="batch_max_vars")
 
     @property
     def batching_enabled(self) -> bool:
@@ -225,13 +226,13 @@ class MaxEntConfig:
 
         Two configs with equal ``solve_key()`` produce the same solution for
         the same constraint system, so cache entries are shared across
-        executor/cache-bookkeeping differences but never across solver or
+        cache-bookkeeping differences but never across solver or
         tolerance changes.  The batching and kernel knobs are
         deliberately excluded: under the tolerance contract batched,
         per-component and cross-kernel solves converge to the same
         optimum within ``tol``, so their cache entries are
-        interchangeable — and keys (hence persisted caches and cluster
-        routing) stay identical whichever path produced them.  The
+        interchangeable — and keys (hence persisted caches) stay
+        identical whichever path produced them.  The
         ``"bitwise"`` contract appends a marker instead: a bitwise
         replay must never be served a tolerance-path entry, because a
         within-``tol`` vector is exactly what it promises not to return.

@@ -137,12 +137,6 @@ def engine_metrics(
         "Full engine solves completed.",
     )
     builder.counter(
-        "engine_component_solves_total",
-        stats.get("component_solves", 0),
-        labels,
-        "Per-component solves completed (cache hits included).",
-    )
-    builder.counter(
         "engine_batched_components_total",
         stats.get("batched_components", 0),
         labels,
@@ -186,9 +180,9 @@ class ServiceConfig:
     host, port:
         Bind address; port 0 asks the OS for a free port (tests).
     max_concurrency:
-        Solves running at once (``None``: the engine's worker count, or 4
-        for the serial executor — threads still overlap closed-form and
-        packaging work with GIL-releasing numeric kernels).
+        Solves running at once (``None``: 4 — threads overlap
+        closed-form and packaging work with GIL-releasing numeric
+        kernels).
     max_queue:
         Admitted-but-waiting solves beyond ``max_concurrency``; past
         both, requests get HTTP 429 (backpressure).
@@ -217,8 +211,8 @@ class ServiceConfig:
         Seconds a SIGTERM drain waits for in-flight solves to finish
         before the final snapshot and shutdown.
     engine:
-        Execution-engine knobs (executor, workers, component cache size,
-        ``cache_path`` for warm restarts).
+        Execution-engine knobs (component cache size, ``cache_path`` for
+        warm restarts, solver and replay settings).
     """
 
     host: str = "127.0.0.1"
@@ -255,11 +249,9 @@ class PrivacyService:
         )
         self.telemetry = ServiceTelemetry()
         concurrency = self.config.max_concurrency
-        if concurrency is None:
-            workers = getattr(self.engine, "_executor", None)
-            concurrency = max(getattr(workers, "workers", 1), 4)
         self.admission = AdmissionController(
-            max_concurrency=concurrency, max_queue=self.config.max_queue
+            max_concurrency=4 if concurrency is None else concurrency,
+            max_queue=self.config.max_queue,
         )
         self.coalescer = Coalescer()
         self.ingest = IngestManager(

@@ -6,6 +6,9 @@ letting malformed input surface as cryptic numpy errors deep in a solver.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 from repro.errors import KnowledgeError, ReproError
 
 
@@ -35,6 +38,28 @@ def check_non_negative_int(value: int, *, name: str = "value") -> int:
         raise ReproError(f"{name} must be an int, got {type(value).__name__}")
     if value < 0:
         raise ReproError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+def check_finite_real(value: float, *, name: str = "value") -> float:
+    """Validate that ``value`` is a finite real number and return it.
+
+    Booleans are rejected even though Python counts them as integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ReproError(
+            f"{name} must be a real number, got {type(value).__name__}"
+        )
+    number = float(value)
+    if not math.isfinite(number):
+        raise ReproError(f"{name} must be finite, got {number}")
+    return number
+
+
+def check_flag(value: bool, *, name: str = "flag") -> bool:
+    """Validate that ``value`` is a ``bool`` and return it."""
+    if not isinstance(value, bool):
+        raise ReproError(f"{name} must be a bool, got {type(value).__name__}")
     return value
 
 

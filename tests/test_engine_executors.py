@@ -1,22 +1,13 @@
-"""Executor backends and the PrivacyEngine facade.
-
-The load-bearing property: the engine is indifferent to how its executor
-runs the work — lazily in order (serial) or eagerly, all at once (the
-cluster scatter's shape) — and produces the *same* MaxEntSolution.
-"""
+"""The PrivacyEngine facade: plan, in-process dispatch loop, knobs."""
 
 import numpy as np
 import pytest
 
+import repro.engine.engine as engine_module
 from repro.data.paper_example import paper_published
-from repro.engine import (
-    PrivacyEngine,
-    build_plan,
-    create_executor,
-    shared_engine,
-)
-from repro.engine.executors import SerialExecutor
-from repro.errors import ReproError
+from repro.engine import PrivacyEngine, build_plan, shared_engine
+from repro.errors import InfeasibleKnowledgeError, ReproError
+from repro.experiments.workloads import build_synthetic_release
 from repro.knowledge.compiler import compile_statements
 from repro.knowledge.statements import ConditionalProbability
 from repro.maxent.closed_form import closed_form_solution
@@ -24,22 +15,6 @@ from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import data_constraints
 from repro.maxent.indexing import GroupVariableSpace
 from tests.helpers import random_published
-
-
-class EagerExecutor:
-    """A pre-built executor object that runs every job before returning.
-
-    Stands in for the cluster executor's shape (one eager scatter per
-    call) without a fleet.
-    """
-
-    name = "eager"
-
-    def imap(self, fn, items):
-        return [fn(item) for item in items]
-
-    def close(self) -> None:
-        pass
 
 
 def paper_instance():
@@ -91,72 +66,6 @@ def multi_component_instance():
     return space, system
 
 
-class TestBackends:
-    def test_map_preserves_order(self):
-        with SerialExecutor() as executor:
-            assert executor.map(abs, [-3, 1, -2]) == [3, 1, 2]
-
-    def test_imap_is_lazy(self):
-        calls = []
-
-        def record(item):
-            calls.append(item)
-            return item
-
-        results = SerialExecutor().imap(record, [1, 2, 3])
-        assert calls == []  # nothing runs until the caller pulls
-        assert next(results) == 1
-        assert calls == [1]
-        assert list(results) == [2, 3]
-
-    def test_unknown_name_rejected(self):
-        for name in ("gpu", "thread", "process"):
-            with pytest.raises(ReproError, match="unknown executor"):
-                create_executor(name)
-
-    def test_close_is_idempotent(self):
-        executor = SerialExecutor()
-        executor.map(abs, [-1, -2])
-        executor.close()
-        executor.close()
-
-
-class TestExecutorEquivalence:
-    """Lazy and eager executors must produce the same MaxEntSolution."""
-
-    @pytest.mark.parametrize("instance", ["paper", "multi"])
-    def test_same_solution(self, instance):
-        space, system = (
-            paper_instance() if instance == "paper" else multi_component_instance()
-        )
-        config = MaxEntConfig(raise_on_infeasible=False)
-        with PrivacyEngine(cache_size=0) as eng:
-            reference = eng.solve(space, system, config)
-        with PrivacyEngine(executor=EagerExecutor(), cache_size=0) as eng:
-            assert eng.executor_name == "eager"
-            other = eng.solve(space, system, config)
-        assert np.abs(other.p - reference.p).max() < 1e-12
-        assert other.stats.converged == reference.stats.converged
-        assert other.stats.n_components == reference.stats.n_components
-        assert [r.stats.converged for r in other.components] == [
-            r.stats.converged for r in reference.components
-        ]
-
-    def test_parallel_timing_aggregates(self):
-        # cpu_seconds sums per-component compute; wall time is separate
-        # (the two differ when a cluster solves components concurrently).
-        space, system = multi_component_instance()
-        with PrivacyEngine(cache_size=0) as eng:
-            solution = eng.solve(space, system)
-        component_cpu = sum(
-            r.stats.seconds
-            for r in solution.components
-            if r.stats.solver not in ("closed-form",)
-        )
-        assert solution.stats.cpu_seconds == pytest.approx(component_cpu)
-        assert solution.stats.seconds > 0.0
-
-
 class TestPlan:
     def test_classifies_closed_form_and_numeric(self):
         space, system = paper_instance()
@@ -184,12 +93,71 @@ class TestEngineFacade:
         assert solution.stats.iterations == 0
 
     def test_from_config_reads_knobs(self):
-        engine = PrivacyEngine.from_config(
-            MaxEntConfig(executor="serial", cache_size=5)
-        )
-        assert engine.executor_name == "serial"
+        engine = PrivacyEngine.from_config(MaxEntConfig(cache_size=5))
         assert engine.cache.max_entries == 5
         engine.close()
+
+    def test_timing_aggregates(self):
+        # cpu_seconds sums per-component compute; wall time is measured
+        # separately around the whole solve.
+        space, system = multi_component_instance()
+        with PrivacyEngine(cache_size=0) as eng:
+            solution = eng.solve(space, system)
+        component_cpu = sum(
+            r.stats.seconds
+            for r in solution.components
+            if r.stats.solver not in ("closed-form",)
+        )
+        assert solution.stats.cpu_seconds == pytest.approx(component_cpu)
+        assert solution.stats.seconds > 0.0
+
+    def test_infeasible_first_unit_stops_the_dispatch_loop(
+        self, monkeypatch
+    ):
+        """Fail fast: the engine checks each unit's result before solving
+        the next, so contradictory knowledge on the first numeric unit
+        raises before any later unit runs."""
+        published = build_synthetic_release(
+            120, qi_domain_sizes=(12, 10, 8), n_sa_values=4, l=4
+        )
+        space = GroupVariableSpace(published)
+        qi_attributes = published.schema.qi_attributes
+        statements = []
+        claimed = set()
+        for bucket in published.buckets:
+            given = bucket.qi_tuples[0]
+            if given in claimed:
+                continue
+            claimed.add(given)
+            # P(s | q) = 0.9 for two SA values of one q: feasible row by
+            # row, infeasible together, and invisible to presolve.
+            for sa_value in sorted(set(bucket.sa_values))[:2]:
+                statements.append(
+                    ConditionalProbability(
+                        given=dict(zip(qi_attributes, given)),
+                        sa_value=sa_value,
+                        probability=0.9,
+                    )
+                )
+        system = data_constraints(space)
+        system.extend(compile_statements(statements, space))
+        # Batching off: every numeric component is its own work unit.
+        config = MaxEntConfig(batch_components=0)
+        assert len(build_plan(space, system, config).numeric) >= 2
+
+        calls = []
+        real_group_solve = engine_module.solve_component_group
+
+        def counting_group_solve(*args):
+            calls.append(args[0])
+            return real_group_solve(*args)
+
+        monkeypatch.setattr(
+            engine_module, "solve_component_group", counting_group_solve
+        )
+        with pytest.raises(InfeasibleKnowledgeError, match="appears infeasible"):
+            PrivacyEngine(cache_size=0).solve(space, system, config)
+        assert len(calls) == 1
 
     def test_shared_engine_reuses_instances(self):
         a = shared_engine(MaxEntConfig())
@@ -215,12 +183,12 @@ class TestEngineFacade:
         assert out.tolist() == [0.0]
 
     def test_config_validates_engine_knobs(self):
-        with pytest.raises(ReproError):
-            MaxEntConfig(executor="gpu")
-        for removed in ("thread", "process"):
-            with pytest.raises(ReproError):
-                MaxEntConfig(executor=removed)
+        # Execution is always in-process: the removed knobs are unknown.
+        removed_knobs = ("executor", "_".join(("cluster", "workers")), "workers")
+        for removed in removed_knobs:
+            with pytest.raises(TypeError):
+                MaxEntConfig(**{removed: "serial"})
         with pytest.raises(TypeError):
-            MaxEntConfig(workers=2)
+            PrivacyEngine(executor="serial")
         with pytest.raises(ReproError):
             MaxEntConfig(cache_size=-1)

