@@ -100,9 +100,8 @@ def _build(n_records: int):
 
 @pytest.mark.benchmark(group="solver")
 def test_batched_solver_scaling(benchmark, results_dir):
-    # batch_components is pinned on BOTH configs: the default reads
-    # REPRO_BATCH_COMPONENTS, and a deploy-wide opt-in must not turn the
-    # per-component baseline into a second batched run.
+    # batch_components is pinned on BOTH configs: the baseline must be
+    # the per-component path whatever the default batch size is.
     plain = MaxEntConfig(raise_on_infeasible=False, batch_components=0)
     batched = MaxEntConfig(
         raise_on_infeasible=False, batch_components=4096, batch_max_vars=256

@@ -53,7 +53,6 @@ from repro.errors import (
     InfeasibleKnowledgeError,
     KnowledgeError,
     ReproError,
-    SolverError,
 )
 from repro.baselines import enumeration_posterior, worst_case_disclosure
 from repro.knowledge import (
@@ -101,7 +100,6 @@ __all__ = [
     "PseudonymTable",
     "ReproError",
     "Schema",
-    "SolverError",
     "SyntheticConfig",
     "Table",
     "TopKBound",

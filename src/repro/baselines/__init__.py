@@ -1,6 +1,6 @@
 """Baseline estimators Privacy-MaxEnt is compared against.
 
-Two families from the paper's related work:
+Three families from the paper's related work:
 
 - the **no-knowledge frequency estimate** (Eq. 9) that every prior metric
   uses implicitly — exposed as
@@ -10,7 +10,13 @@ Two families from the paper's related work:
   assignments consistent with deterministic knowledge and read posteriors
   or worst-case disclosure off the surviving set.  Exponential in bucket
   size, but exact — which also makes it a ground-truth oracle for testing
-  the MaxEnt engine on small inputs.
+  the MaxEnt engine on small inputs;
+- the **MaxEnt fitters** the paper's L-BFGS choice was made against
+  (Malouf's comparison): Generalized and Improved Iterative Scaling
+  (:func:`solve_gis`, :func:`solve_iis`) and a direct primal solve
+  (:func:`solve_primal`).  The engine never runs them; they are the
+  baselines of ``benchmarks/bench_solvers.py`` and independent oracles
+  for the dual solver in the tests.
 """
 
 from repro.baselines.enumeration import (
@@ -18,9 +24,15 @@ from repro.baselines.enumeration import (
     enumeration_posterior,
     worst_case_disclosure,
 )
+from repro.baselines.gis import solve_gis
+from repro.baselines.iis import solve_iis
+from repro.baselines.primal import solve_primal
 
 __all__ = [
     "AssignmentOracle",
     "enumeration_posterior",
+    "solve_gis",
+    "solve_iis",
+    "solve_primal",
     "worst_case_disclosure",
 ]

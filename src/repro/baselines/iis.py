@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.gis import _validate
 from repro.errors import NotSupportedError
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.gis import _validate
 from repro.maxent.lbfgs import DualSolveResult
 
 #: Newton sub-iterations per IIS round; the inner problem is 1-D and smooth,

@@ -201,12 +201,12 @@ def _cmd_utility(args: argparse.Namespace) -> int:
 
 
 def _with_engine(config, args: argparse.Namespace):
-    """Apply the CLI's engine flags to a figure config's solver settings."""
+    """Apply the CLI's engine flags to a figure config's MaxEnt settings."""
     overrides = _engine_overrides(args)
     if not overrides:
         return config
     return dataclasses.replace(
-        config, solver=dataclasses.replace(config.solver, **overrides)
+        config, maxent=dataclasses.replace(config.maxent, **overrides)
     )
 
 
@@ -259,6 +259,10 @@ def _shard_worker_args(args: argparse.Namespace) -> list[str]:
     forwarded: list[str] = []
     if args.cache_size is not None:
         forwarded += ["--cache-size", str(args.cache_size)]
+    if args.replay is not None:
+        forwarded += ["--replay", args.replay]
+    if args.kernel is not None:
+        forwarded += ["--kernel", args.kernel]
     forwarded += ["--queue-size", str(args.queue_size)]
     if args.max_concurrency is not None:
         forwarded += ["--max-concurrency", str(args.max_concurrency)]

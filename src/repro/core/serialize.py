@@ -204,14 +204,20 @@ def config_to_dict(config: MaxEntConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def config_from_dict(payload) -> MaxEntConfig:
-    """Rebuild a :class:`MaxEntConfig`; unknown knobs are rejected."""
+def config_from_dict(payload, base: MaxEntConfig | None = None) -> MaxEntConfig:
+    """Rebuild a :class:`MaxEntConfig`; unknown knobs are rejected.
+
+    The payload's keys override ``base`` (default: ``MaxEntConfig()``), so
+    a server decodes each request's config on top of its own engine
+    settings and a request that omits a knob inherits the server's value.
+    """
+    base = base or MaxEntConfig()
     if payload is None:
-        return MaxEntConfig()
+        return base
     payload = _require_mapping(payload, "config")
     fields = {f.name for f in dataclasses.fields(MaxEntConfig)}
     _check_keys(payload, fields, "config")
-    return MaxEntConfig(**payload)
+    return dataclasses.replace(base, **payload)
 
 
 def bound_to_dict(bound: TopKBound) -> dict:

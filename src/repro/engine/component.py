@@ -3,14 +3,15 @@
 These are the units of work the engine's dispatch loop runs.  Two
 granularities share one module so they stay in lockstep:
 
-- :func:`solve_component` — presolve one component, dispatch to the
-  configured solver, lift the solution back to component coordinates.
+- :func:`solve_component` — presolve one component, solve its dual with
+  L-BFGS (:func:`repro.maxent.lbfgs.solve_dual_lbfgs`, the engine's only
+  optimizer), lift the solution back to component coordinates.
 - :func:`solve_component_batch` — presolve *many* small components, stack
   the survivors into one block-diagonal dual and run the vectorized loop
   of :mod:`repro.maxent.batch_dual`, then unbundle per-component results
   (residuals, iterations, multipliers) so everything downstream — cache,
   warm starts, telemetry — sees the same contract as per-component
-  dispatch.
+  solves.
 
 :func:`solve_component_group` picks between them for one work unit.
 """
@@ -26,12 +27,8 @@ from repro.maxent.config import MaxEntConfig
 from repro.maxent.kernels import get_kernel
 from repro.maxent.decompose import Component
 from repro.maxent.dual import build_dual
-from repro.maxent.gis import solve_gis
-from repro.maxent.iis import solve_iis
 from repro.maxent.lbfgs import DualSolveResult, solve_dual_lbfgs
-from repro.maxent.newton import solve_dual_newton
 from repro.maxent.presolve import PresolveResult, presolve
-from repro.maxent.primal import solve_primal
 from repro.maxent.solution import SolverStats
 from repro.obs.trace import get_tracer
 from repro.utils.timer import Timer
@@ -43,42 +40,9 @@ class ComponentSolve:
 
     p: np.ndarray
     stats: SolverStats
-    #: Converged dual multipliers of the *presolved* system (quasi-Newton
-    #: solvers only) — reusable as a warm start for structurally identical
-    #: components.
+    #: Converged dual multipliers of the *presolved* system — reusable as
+    #: a warm start for structurally identical components.
     multipliers: np.ndarray | None = None
-
-
-def _dispatch(
-    system, mass: float, config: MaxEntConfig, warm_start: np.ndarray | None
-) -> DualSolveResult:
-    if config.solver == "lbfgs":
-        dual = build_dual(system, mass)
-        return solve_dual_lbfgs(
-            dual,
-            tol=config.tol,
-            max_iterations=config.max_iterations,
-            x0=_usable_warm_start(warm_start, dual.n_params),
-        )
-    if config.solver == "newton":
-        dual = build_dual(system, mass)
-        return solve_dual_newton(
-            dual,
-            tol=config.tol,
-            max_iterations=config.max_iterations,
-            x0=_usable_warm_start(warm_start, dual.n_params),
-        )
-    if config.solver == "gis":
-        return solve_gis(
-            system, mass, tol=config.tol, max_iterations=config.max_iterations
-        )
-    if config.solver == "iis":
-        return solve_iis(
-            system, mass, tol=config.tol, max_iterations=config.max_iterations
-        )
-    return solve_primal(
-        system, mass, tol=config.tol, max_iterations=config.max_iterations
-    )
 
 
 def _usable_warm_start(
@@ -156,7 +120,7 @@ def _package_solve(
     p_local = reduction.restore(result.p) if reduction is not None else result.p
     multipliers = result.multipliers if result.converged else None
     stats = SolverStats(
-        solver=config.solver,
+        solver="lbfgs",
         iterations=result.iterations,
         seconds=0.0,
         n_vars=component.n_vars,
@@ -191,7 +155,13 @@ def solve_component(
             solve = _forced_solve(component, config, reduction, fixed_count)
         else:
             with Timer() as dual_timer:
-                result = _dispatch(system, mass, config, warm_start)
+                dual = build_dual(system, mass)
+                result = solve_dual_lbfgs(
+                    dual,
+                    tol=config.tol,
+                    max_iterations=config.max_iterations,
+                    x0=_usable_warm_start(warm_start, dual.n_params),
+                )
             solve = _package_solve(
                 component, config, reduction, fixed_count, result
             )
@@ -214,22 +184,12 @@ def solve_component_batch(
     stack into one vectorized L-BFGS loop, and the batch solution is
     unbundled into per-component :class:`ComponentSolve` records whose
     contract — residuals, iterations, warm-startable multipliers,
-    convergence flags — matches per-component dispatch.  The total task
+    convergence flags — matches per-component solves.  The total task
     time is attributed across components proportionally to their size,
     so summed ``cpu_seconds`` telemetry stays meaningful.
-
-    Only the ``"lbfgs"`` solver batches; any other configuration falls
-    back to a per-component loop (the planner never groups for them, so
-    this is defense in depth).
     """
     n = len(components)
     warm_list = list(warm_starts) if warm_starts is not None else [None] * n
-    if config.solver != "lbfgs":
-        return [
-            solve_component(component, config, warm)
-            for component, warm in zip(components, warm_list)
-        ]
-
     kernel = get_kernel(config.kernel)
     with Timer() as timer:
         out: list[ComponentSolve | None] = [None] * n

@@ -3,14 +3,13 @@
 :class:`PrivacyEngine` owns the component solve cache and the
 warm-start store, and runs the full Section 5.5 pipeline in-process:
 
-1. (optionally) drop the per-bucket redundant row,
-2. build an :class:`~repro.engine.plan.ExecutionPlan`,
-3. solve every irrelevant component in one batched closed-form call,
-4. fingerprint each numeric component; cache hits return bit-identical
+1. build an :class:`~repro.engine.plan.ExecutionPlan`,
+2. solve every irrelevant component in one batched closed-form call,
+3. fingerprint each numeric component; cache hits return bit-identical
    stored solutions, misses are solved one work unit at a time in the
-   calling thread (warm-started from structurally identical past solves
-   when available),
-5. reassemble the joint, aggregating per-component compute time
+   calling thread by L-BFGS on the dual (warm-started from structurally
+   identical past solves when available),
+4. reassemble the joint, aggregating per-component compute time
    (``cpu_seconds``) separately from wall time (``seconds``).
 
 The core library (:class:`repro.core.privacy_maxent.PrivacyMaxEnt`), the
@@ -32,12 +31,12 @@ from repro.engine.cache import CacheEntry, SolveCache, WarmStartStore
 from repro.engine.component import solve_component_group
 from repro.engine.fingerprint import component_fingerprint, structure_fingerprint
 from repro.engine.plan import ExecutionPlan, build_plan
-from repro.errors import InfeasibleKnowledgeError, ReproError, SolverError
+from repro.errors import InfeasibleKnowledgeError, ReproError
 from repro.maxent.closed_form import closed_form_batch
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.kernels import get_kernel
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.decompose import Component, drop_redundant_data_rows
+from repro.maxent.decompose import Component
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from repro.maxent.solution import ComponentRecord, MaxEntSolution, SolverStats
 from repro.obs.logging import get_logger
@@ -49,19 +48,17 @@ VariableSpace = GroupVariableSpace | PersonVariableSpace
 _log = get_logger("engine")
 
 #: Version tag of the persisted-cache pickle; bump on incompatible changes.
-#: (v3: the solve-result contract is versioned — ``SolverStats`` grew
-#: ``kernel_backend`` and entries are produced under the tolerance replay
-#: contract by default.  v4: ``SolverStats`` grew the ``phase_seconds``
-#: breakdown ``dataclasses.replace`` needs on cache replay.  v1 and v3
-#: snapshots migrate on load; any other version is rejected loudly,
-#: never silently served.)
-_CACHE_FORMAT = "privacy-maxent-solve-cache/4"
+#: (v5: ``solve_key()`` lost the solver name, so no entry keyed by an
+#: older build can ever hit again.)
+_CACHE_FORMAT = "privacy-maxent-solve-cache/5"
 
-#: Older snapshot formats :meth:`PrivacyEngine.load_cache` can migrate
-#: in place (entry layout unchanged; stats gain defaulted fields).
-_MIGRATABLE_CACHE_FORMATS = (
+#: Older snapshot formats :meth:`PrivacyEngine.load_cache` recognizes but
+#: cannot serve (their keys embed the removed solver name): they load as
+#: a cold start.
+_STALE_CACHE_FORMATS = (
     "privacy-maxent-solve-cache/1",
     "privacy-maxent-solve-cache/3",
+    "privacy-maxent-solve-cache/4",
 )
 
 #: Prefix every recognized snapshot format shares; an unknown version
@@ -69,22 +66,9 @@ _MIGRATABLE_CACHE_FORMATS = (
 _CACHE_FORMAT_PREFIX = "privacy-maxent-solve-cache/"
 
 
-def _migrate_stats(stats) -> SolverStats:
-    """Rebuild a :class:`SolverStats` pickled by an older schema.
-
-    Unpickling a dataclass restores ``__dict__`` without running
-    ``__init__``, so a pre-v3 record lacks fields added since (e.g.
-    ``kernel_backend``) and would break ``dataclasses.replace`` on
-    replay.  Reconstruct through the constructor with defaults filled
-    in; unknown extra attributes are dropped.
-    """
-    import dataclasses
-
-    kwargs = {}
-    for field_ in dataclasses.fields(SolverStats):
-        if hasattr(stats, field_.name):
-            kwargs[field_.name] = getattr(stats, field_.name)
-    return SolverStats(**kwargs)
+#: Relative residual above which an unconverged component counts as
+#: infeasible (contradictory knowledge) rather than merely slow.
+_INFEASIBILITY_THRESHOLD = 1e-2
 
 
 def _check_component(
@@ -95,23 +79,14 @@ def _check_component(
         return
     scale = max(abs(component.mass), 1e-12)
     relative = stats.residual / scale
-    if relative > config.infeasibility_threshold:
-        if config.raise_on_infeasible:
-            raise InfeasibleKnowledgeError(
-                "the constraint system appears infeasible "
-                f"(relative residual {relative:.2e} on the component "
-                f"covering buckets {component.buckets[:8]}...); "
-                "check the supplied background knowledge for "
-                "contradictions",
-                residual=stats.residual,
-            )
-    elif config.raise_on_infeasible and config.solver in ("gis", "iis"):
-        raise SolverError(
-            f"{config.solver} did not converge "
-            f"(residual {stats.residual:.2e}); increase "
-            "max_iterations or use solver='lbfgs'",
-            solver=config.solver,
-            iterations=stats.iterations,
+    if relative > _INFEASIBILITY_THRESHOLD and config.raise_on_infeasible:
+        raise InfeasibleKnowledgeError(
+            "the constraint system appears infeasible "
+            f"(relative residual {relative:.2e} on the component "
+            f"covering buckets {component.buckets[:8]}...); "
+            "check the supplied background knowledge for "
+            "contradictions",
+            residual=stats.residual,
         )
 
 
@@ -294,10 +269,17 @@ class PrivacyEngine:
         same :meth:`solve` output, so the serving layer uses this key to
         deduplicate/coalesce identical in-flight solves and to cache
         finished results.  It is the whole-system analogue of the
-        per-component cache key (same canonical encoding, total mass 1).
+        per-component cache key (same canonical encoding, total mass 1),
+        plus the pipeline toggles that change the returned solution
+        without touching any per-component result: ``decompose`` (one
+        joint component vs many) and ``use_closed_form``.
         """
         config = config or MaxEntConfig()
-        return component_fingerprint(system, 1.0, config.solve_key())
+        return component_fingerprint(
+            system,
+            1.0,
+            config.solve_key() + (config.decompose, config.use_closed_form),
+        )
 
     # -- cache persistence ---------------------------------------------------
 
@@ -336,15 +318,14 @@ class PrivacyEngine:
 
         A missing or truncated file is treated as a cold start (returns
         0) — restart resilience must not depend on the snapshot's
-        health.  A *recognized but older* snapshot (v1, written before
-        the versioned solve-result contract) is migrated in place: the
-        entry layout is unchanged and per-component fingerprints are
-        stable across the versions, so only the pickled stats records
-        need their defaulted new fields filled in.  A snapshot carrying
-        an *unrecognized* cache version is rejected with a clear
-        :class:`ReproError` — serving entries whose semantics this build
-        cannot vouch for is how stale results masquerade as fresh ones.
-        Returns the number of entries restored.
+        health.  A *recognized but older* snapshot (v1, v3 or v4) is a
+        cold start too: its keys embed the solver name that
+        ``solve_key()`` no longer carries, so none of its entries could
+        ever hit.  A snapshot carrying an *unrecognized* cache version is
+        rejected with a clear :class:`ReproError` — serving entries whose
+        semantics this build cannot vouch for is how stale results
+        masquerade as fresh ones.  Returns the number of entries
+        restored.
         """
         path = os.fspath(path or self.cache_path or "")
         if not path or not self.cache.enabled:
@@ -359,21 +340,17 @@ class PrivacyEngine:
         fmt = payload.get("format")
         if not isinstance(fmt, str) or not fmt.startswith(
             _CACHE_FORMAT_PREFIX
-        ):
+        ) or fmt in _STALE_CACHE_FORMATS:
             return 0
-        migrate = fmt in _MIGRATABLE_CACHE_FORMATS
-        if fmt != _CACHE_FORMAT and not migrate:
+        if fmt != _CACHE_FORMAT:
             raise ReproError(
                 f"cache snapshot {path!r} has format {fmt!r}, but this "
-                f"build reads {_CACHE_FORMAT!r} (migratable: "
-                f"{', '.join(_MIGRATABLE_CACHE_FORMATS)}); refusing to "
-                "serve entries under an unrecognized solve-result "
-                "contract — delete the snapshot to start cold"
+                f"build reads {_CACHE_FORMAT!r}; refusing to serve "
+                "entries under an unrecognized solve-result contract — "
+                "delete the snapshot to start cold"
             )
         restored = 0
         for key, p, stats in payload.get("entries", []):
-            if migrate:
-                stats = _migrate_stats(stats)
             self.cache.put(key, CacheEntry(p=p, stats=stats))
             restored += 1
         for key, multipliers in payload.get("warm_starts", []):
@@ -417,13 +394,8 @@ class PrivacyEngine:
             "engine.solve", ctx=trace_ctx, n_vars=space.n_vars
         ) as solve_span:
             with Timer() as wall:
-                solve_system = system
-                with tracer.span(
-                    "engine.plan", drop_redundant=config.drop_redundant
-                ) as plan_span:
-                    if config.drop_redundant:
-                        solve_system = drop_redundant_data_rows(space, system)
-                    plan = build_plan(space, solve_system, config)
+                with tracer.span("engine.plan") as plan_span:
+                    plan = build_plan(space, system, config)
                     plan_span.set(
                         n_components=plan.n_components,
                         decompose_seconds=round(plan.decompose_seconds, 6),
@@ -457,7 +429,6 @@ class PrivacyEngine:
             solution = self._reassemble(
                 space,
                 system,
-                config,
                 plan,
                 p,
                 stats_by_position,
@@ -545,10 +516,9 @@ class PrivacyEngine:
                     p[component.var_indices] = entry.p
                     stats_by_position[pos] = entry.replay_stats()
                     continue
-                if config.warm_start:
-                    fingerprint_timer.start()
-                    structure = structure_fingerprint(component.system)
-                    fingerprint_seconds += fingerprint_timer.stop()
+                fingerprint_timer.start()
+                structure = structure_fingerprint(component.system)
+                fingerprint_seconds += fingerprint_timer.stop()
             pending.append((pos, component, fingerprint, structure))
 
         if not pending:
@@ -607,7 +577,6 @@ class PrivacyEngine:
         self,
         space: VariableSpace,
         system: ConstraintSystem,
-        config: MaxEntConfig,
         plan: ExecutionPlan,
         p: np.ndarray,
         stats_by_position: dict[int, SolverStats],
@@ -657,7 +626,7 @@ class PrivacyEngine:
                 phase_seconds[name] = phase_seconds.get(name, 0.0) + seconds
 
         aggregate = SolverStats(
-            solver=config.solver,
+            solver="lbfgs",
             iterations=total_iterations,
             seconds=wall_seconds,
             n_vars=space.n_vars,
@@ -691,7 +660,7 @@ def shared_engine(config: MaxEntConfig | None = None) -> PrivacyEngine:
 
     Engines are keyed by ``(cache_size, cache_path)``, so every
     ``solve_maxent`` call with the same knobs shares one cache — this is what makes repeated quantifications
-    (figure sweeps, skyline enumeration, solver ablations) reuse each
+    (figure sweeps, skyline enumeration, pipeline ablations) reuse each
     other's component solutions without any plumbing.
     """
     config = config or MaxEntConfig()

@@ -31,7 +31,7 @@ class ExecutionPlan:
     components: list[Component]
     #: Positions (into ``components``) taking the batched Eq. (9) path.
     closed_form: list[int] = field(default_factory=list)
-    #: Positions solved numerically (presolve + configured solver).
+    #: Positions solved numerically (presolve + L-BFGS on the dual).
     numeric: list[int] = field(default_factory=list)
     #: Disjoint subsets of ``numeric`` (small components only) scheduled
     #: as single stacked-dual work items; positions in no group dispatch

@@ -74,31 +74,15 @@ class InfeasibleKnowledgeError(ReproError):
         self.residual = residual
 
 
-class SolverError(ReproError):
-    """A MaxEnt solver failed to converge or was misused.
-
-    Carries the solver name and the iteration count at failure when
-    available, to make performance-debugging reports actionable.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        solver: str | None = None,
-        iterations: int | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.solver = solver
-        self.iterations = iterations
-
-
 class NotSupportedError(ReproError):
-    """A solver was asked to handle a problem feature it does not support.
+    """A baseline was asked to handle a feature it does not support.
 
-    For example, GIS and IIS require non-negative constraint coefficients;
-    passing a comparison constraint (which has mixed signs) to them raises
-    this error rather than silently producing a wrong answer.
+    The engine's L-BFGS dual handles every constraint system; the
+    comparison fitters and the enumeration oracle in
+    :mod:`repro.baselines` do not.  For example,
+    GIS and IIS require non-negative constraint coefficients, so passing
+    a comparison constraint (which has mixed signs) to them raises this
+    error rather than silently producing a wrong answer.
     """
 
 

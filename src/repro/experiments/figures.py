@@ -65,7 +65,7 @@ class Figure5Config:
     max_k: int = 1600
     points: int = 7
     seed: int = 20080609
-    solver: MaxEntConfig = MaxEntConfig(raise_on_infeasible=False)
+    maxent: MaxEntConfig = MaxEntConfig(raise_on_infeasible=False)
 
     @classmethod
     def paper_scale(cls) -> "Figure5Config":
@@ -95,7 +95,7 @@ def figure5(config: Figure5Config | None = None) -> ExperimentResult:
             f"{workload.rules.n_negative} negative available)."
         ),
     )
-    engine = PrivacyEngine.from_config(config.solver)
+    engine = PrivacyEngine.from_config(config.maxent)
     for k in k_grid(config.max_k, config.points):
         for name, bound in (
             ("K+", TopKBound(k, 0)),
@@ -103,7 +103,7 @@ def figure5(config: Figure5Config | None = None) -> ExperimentResult:
             ("(K+, K-)", TopKBound(k // 2, k - k // 2)),
         ):
             accuracy, n_rows, stats = _accuracy_under_bound(
-                workload, bound, config.solver, engine
+                workload, bound, config.maxent, engine
             )
             result.add(
                 name,
@@ -129,7 +129,7 @@ class Figure6Config:
     max_k: int = 800
     points: int = 6
     seed: int = 20080609
-    solver: MaxEntConfig = MaxEntConfig(raise_on_infeasible=False)
+    maxent: MaxEntConfig = MaxEntConfig(raise_on_infeasible=False)
 
     @classmethod
     def paper_scale(cls) -> "Figure6Config":
@@ -157,7 +157,7 @@ def figure6(config: Figure6Config | None = None) -> ExperimentResult:
         ),
     )
     grid = k_grid(config.max_k, config.points)
-    engine = PrivacyEngine.from_config(config.solver)
+    engine = PrivacyEngine.from_config(config.maxent)
     for size in config.sizes:
         workload = build_adult_workload(
             n_records=config.n_records,
@@ -169,7 +169,7 @@ def figure6(config: Figure6Config | None = None) -> ExperimentResult:
         for k in grid:
             bound = TopKBound(k // 2, k - k // 2)
             accuracy, n_rows, stats = _accuracy_under_bound(
-                workload, bound, config.solver, engine
+                workload, bound, config.maxent, engine
             )
             result.add(
                 f"T={size}",
@@ -196,7 +196,7 @@ class Figure7aConfig:
     # Performance figures measure the raw solve: no decomposition (the
     # paper's unoptimized setup) and no engine cache (timings must reflect
     # numeric work, not cache bookkeeping).
-    solver: MaxEntConfig = MaxEntConfig(
+    maxent: MaxEntConfig = MaxEntConfig(
         decompose=False,
         use_closed_form=False,
         raise_on_infeasible=False,
@@ -233,11 +233,11 @@ def figure7a(config: Figure7aConfig | None = None) -> ExperimentResult:
             "values."
         ),
     )
-    engine = PrivacyEngine.from_config(config.solver)
+    engine = PrivacyEngine.from_config(config.maxent)
     for count in config.constraint_counts:
         bound = TopKBound(count // 2, count - count // 2)
         _accuracy, n_rows, stats = _accuracy_under_bound(
-            workload, bound, config.solver, engine
+            workload, bound, config.maxent, engine
         )
         result.add(
             "running time (s)", x=count, y=stats.seconds, constraints=n_rows
@@ -264,7 +264,7 @@ class Figure7bcConfig:
     # a numeric solve even without knowledge (otherwise the 0-constraint
     # series would be closed-form and take no time at all).  The engine
     # cache is off for the same reason.
-    solver: MaxEntConfig = MaxEntConfig(
+    maxent: MaxEntConfig = MaxEntConfig(
         decompose=False,
         use_closed_form=False,
         raise_on_infeasible=False,
@@ -300,7 +300,7 @@ def figure7bc(
         series={},
         notes="Decomposition disabled; one series per knowledge size.",
     )
-    engine = PrivacyEngine.from_config(config.solver)
+    engine = PrivacyEngine.from_config(config.maxent)
     for n_buckets in config.bucket_counts:
         workload = build_adult_workload(
             n_records=n_buckets * config.l,
@@ -311,7 +311,7 @@ def figure7bc(
         for size in config.knowledge_sizes:
             bound = TopKBound(size // 2, size - size // 2)
             _accuracy, n_rows, stats = _accuracy_under_bound(
-                workload, bound, config.solver, engine
+                workload, bound, config.maxent, engine
             )
             label = f"#Constraints = {size}"
             time_result.add(label, x=n_buckets, y=stats.seconds, constraints=n_rows)

@@ -10,7 +10,7 @@ working.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.utils.validation import (
@@ -20,7 +20,6 @@ from repro.utils.validation import (
     check_positive_int,
 )
 
-_SOLVER_NAMES = ("lbfgs", "newton", "gis", "iis", "primal")
 #: Replay contracts and segment-kernel backends; the CLI's ``--replay``
 #: and ``--kernel`` choices read these tuples too.
 REPLAY_NAMES = ("tolerance", "bitwise")
@@ -31,45 +30,25 @@ _FLAG_FIELDS = (
     "use_presolve",
     "use_closed_form",
     "raise_on_infeasible",
-    "drop_redundant",
-    "warm_start",
 )
-
-
-def _env_int(name: str, fallback: int) -> int:
-    """Integer default read from the environment (deploy-time override)."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ReproError(
-            f"environment variable {name}={raw!r} is not an integer"
-        ) from None
-
-
-def _env_str(name: str, fallback: str) -> str:
-    """String default read from the environment (deploy-time override)."""
-    raw = os.environ.get(name, "").strip()
-    return raw if raw else fallback
 
 
 @dataclass(frozen=True)
 class MaxEntConfig:
     """Tuning knobs of the MaxEnt pipeline.
 
+    Every numeric component is solved by L-BFGS on the dual (the paper's
+    choice, with a Newton-CG polish).  The GIS / IIS / primal fitters it
+    was chosen over live in :mod:`repro.baselines` as comparison
+    baselines and test oracles.
+
     Parameters
     ----------
-    solver:
-        ``"lbfgs"`` (default, the paper's choice), ``"newton"``
-        (truncated-Newton on the dual), ``"gis"``, ``"iis"`` or
-        ``"primal"``.
     decompose:
         Solve per bucket-component (Section 5.5).  Disable to reproduce the
         paper's unoptimized performance experiments.
     use_presolve:
-        Eliminate forced variables first.  GIS/IIS require this.
+        Eliminate forced variables first.
     use_closed_form:
         Use Eq. (9) directly for components without knowledge rows.
     tol:
@@ -77,24 +56,23 @@ class MaxEntConfig:
     max_iterations:
         Outer iteration budget per component.
     raise_on_infeasible:
-        Raise :class:`InfeasibleKnowledgeError` when the residual indicates
-        contradictory constraints; otherwise return with
-        ``stats.converged = False``.
+        Raise :class:`InfeasibleKnowledgeError` when an unconverged
+        component's relative residual exceeds ``1e-2`` (contradictory
+        constraints); otherwise return with ``stats.converged = False``.
     cache_size:
         Bound of the per-engine LRU solve cache (entries are solved
         components, keyed by a canonical constraint-system fingerprint).
-        ``0`` disables caching entirely.
+        While caching is on, converged dual multipliers are also kept
+        and reused as the starting point of structurally identical
+        components (same rows, different right-hand sides), which
+        changes only the iteration count, never the converged solution.
+        ``0`` disables caching and warm starts entirely.
     cache_path:
         Optional file the engine persists its solve cache to.  When set,
         an engine loads the stored cache on construction (starting warm
         after a process restart — the serving workflow) and saves it on
         ``close()``.  A missing or unreadable file simply means a cold
         start; it is never an error.
-    warm_start:
-        Reuse converged dual multipliers from a structurally identical
-        component (same rows, different right-hand sides) as the starting
-        point of the next solve.  Changes only the iteration count, never
-        the converged solution.
     replay:
         The solve-result reproducibility contract.  ``"tolerance"`` (the
         default) guarantees results equal within ``tol`` across
@@ -104,16 +82,14 @@ class MaxEntConfig:
         bit-identical replays across cache states and re-runs for
         workflows that diff posteriors byte for byte; its cache entries
         are keyed separately (see :meth:`solve_key`) so a bitwise
-        replay never consumes a tolerance-path entry.  Default
-        overridable via ``REPRO_REPLAY``.
+        replay never consumes a tolerance-path entry.
     kernel:
         Segment-reduction backend of the stacked dual
         (:mod:`repro.maxent.kernels`): ``"auto"`` (the default — numba
         when importable, else numpy), ``"numpy"`` (the reference
         ``reduceat`` backend), or ``"numba"`` (JIT-compiled, parallel
         over blocks; requires ``pip install repro[numba]``).  Backends
-        agree within ``tol``, the tolerance contract.  Default
-        overridable via ``REPRO_KERNEL``.
+        agree within ``tol``, the tolerance contract.
     batch_components:
         Upper bound on how many small components the engine stacks into
         one block-diagonal dual and solves with a single vectorized
@@ -124,65 +100,40 @@ class MaxEntConfig:
         per-component solves within ``tol`` (the stacked trajectory
         differs in the last bits), not bit for bit.  ``0`` disables
         batching explicitly; ``replay="bitwise"`` disables it
-        regardless of this knob.  Only the ``"lbfgs"`` solver batches.
-        Default overridable via the ``REPRO_BATCH_COMPONENTS``
-        environment variable.
+        regardless of this knob.
     batch_max_vars:
         Size threshold of the batched path: only components with at most
         this many variables are binned into batch groups (large
         components amortize their own dispatch overhead and keep better
-        per-problem curvature handling solo).  Default overridable via
-        ``REPRO_BATCH_MAX_VARS``.
+        per-problem curvature handling solo).
     """
 
-    solver: str = "lbfgs"
     decompose: bool = True
     use_presolve: bool = True
     use_closed_form: bool = True
     tol: float = 1e-6
     max_iterations: int = 1000
     raise_on_infeasible: bool = True
-    infeasibility_threshold: float = 1e-2
-    # Removing the per-bucket redundant row (Theorem 3) is available as an
-    # ablation; empirically the redundant rows *help* L-BFGS (they act as a
-    # mild preconditioner along bucket-mass directions), so default off.
-    drop_redundant: bool = False
     # Execution-engine knobs (see repro.engine).
     cache_size: int = 128
     cache_path: str | None = None
-    warm_start: bool = True
     # The solve-result reproducibility contract and the segment-kernel
     # backend (repro.maxent.kernels).
-    replay: str = field(
-        default_factory=lambda: _env_str("REPRO_REPLAY", "tolerance")
-    )
-    kernel: str = field(
-        default_factory=lambda: _env_str("REPRO_KERNEL", "auto")
-    )
+    replay: str = "tolerance"
+    kernel: str = "auto"
     # Batched block-diagonal dual solve (repro.maxent.batch_dual) —
     # default-on under the tolerance replay contract.
-    batch_components: int = field(
-        default_factory=lambda: _env_int("REPRO_BATCH_COMPONENTS", 1024)
-    )
-    batch_max_vars: int = field(
-        default_factory=lambda: _env_int("REPRO_BATCH_MAX_VARS", 96)
-    )
+    batch_components: int = 1024
+    batch_max_vars: int = 96
 
     def __post_init__(self) -> None:
         # Type checks come first: a config decoded from JSON can carry
         # any value, and each must fail as a ReproError (HTTP 400), not
         # as a TypeError from a comparison below.
-        if self.solver not in _SOLVER_NAMES:
-            raise ReproError(
-                f"unknown solver {self.solver!r}; choose one of {_SOLVER_NAMES}"
-            )
         for name in _FLAG_FIELDS:
             check_flag(getattr(self, name), name=name)
         if check_finite_real(self.tol, name="tol") <= 0:
             raise ReproError(f"tol must be positive, got {self.tol}")
-        check_finite_real(
-            self.infeasibility_threshold, name="infeasibility_threshold"
-        )
         check_positive_int(self.max_iterations, name="max_iterations")
         check_non_negative_int(self.cache_size, name="cache_size")
         if self.cache_path is not None and not isinstance(
@@ -209,26 +160,21 @@ class MaxEntConfig:
     def batching_enabled(self) -> bool:
         """True when small components may take the batched dual path.
 
-        Batching stacks many components into one block-diagonal dual, so
-        it only applies to the L-BFGS dual solver, and its results agree
-        with per-component solves within ``tol`` rather than bit for bit
-        — so the ``"bitwise"`` replay contract turns it off regardless
-        of ``batch_components``.
+        Batching stacks many components into one block-diagonal dual
+        whose results agree with per-component solves within ``tol``
+        rather than bit for bit — so the ``"bitwise"`` replay contract
+        turns it off regardless of ``batch_components``.
         """
-        return (
-            self.replay != "bitwise"
-            and self.batch_components > 1
-            and self.solver == "lbfgs"
-        )
+        return self.replay != "bitwise" and self.batch_components > 1
 
     def solve_key(self) -> tuple:
         """The configuration facets a cached solution depends on.
 
         Two configs with equal ``solve_key()`` produce the same solution for
         the same constraint system, so cache entries are shared across
-        cache-bookkeeping differences but never across solver or
-        tolerance changes.  The batching and kernel knobs are
-        deliberately excluded: under the tolerance contract batched,
+        cache-bookkeeping differences but never across presolve,
+        tolerance or iteration-budget changes.  The batching and kernel
+        knobs are deliberately excluded: under the tolerance contract batched,
         per-component and cross-kernel solves converge to the same
         optimum within ``tol``, so their cache entries are
         interchangeable — and keys (hence persisted caches) stay
@@ -237,12 +183,7 @@ class MaxEntConfig:
         replay must never be served a tolerance-path entry, because a
         within-``tol`` vector is exactly what it promises not to return.
         """
-        key = (
-            self.solver,
-            self.use_presolve,
-            self.tol,
-            self.max_iterations,
-        )
+        key = (self.use_presolve, self.tol, self.max_iterations)
         if self.replay == "bitwise":
             key += ("bitwise",)
         return key

@@ -50,7 +50,7 @@ VariableSpace = GroupVariableSpace | PersonVariableSpace
 # Row kinds are short strings drawn from a tiny vocabulary, so every store
 # keeps them as int codes into a process-wide intern table.  This makes all
 # kind-based operations (decomposition's knowledge-row counts, the
-# mass-partition sums, redundant-row filtering) pure integer vector ops and
+# mass-partition sums) pure integer vector ops and
 # lets systems merge without any vocabulary remapping.
 
 _KIND_CODES: dict[str, int] = {}

@@ -15,8 +15,8 @@ implementation:
   attempted lazily and failure simply leaves it unavailable.
 - ``"auto"`` — numba when importable, else numpy.  The default.
 
-Selection is ``MaxEntConfig.kernel`` (environment default
-``REPRO_KERNEL``); resolution happens per solve via :func:`get_kernel`,
+Selection is ``MaxEntConfig.kernel`` (CLI ``--kernel``, also on ``serve``
+and ``shard-worker``); resolution happens per solve via :func:`get_kernel`,
 so a config naming ``"numba"`` on a host without numba fails loudly at
 solve time instead of quietly running something else.  Backends are
 tolerance-equivalent, not bit-identical — exactly the contract the

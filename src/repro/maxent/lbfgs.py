@@ -36,8 +36,9 @@ class DualSolveResult:
     scale: float
     converged: bool
     message: str
-    #: Final dual multipliers (quasi-Newton solvers only) — the engine
-    #: stores these to warm-start structurally identical systems.
+    #: Final dual multipliers (dual solvers only; the baseline fitters
+    #: leave it unset) — the engine stores these to warm-start
+    #: structurally identical systems.
     multipliers: np.ndarray | None = None
 
     @property

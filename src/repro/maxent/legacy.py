@@ -196,28 +196,6 @@ def decompose_rowwise(
     return components
 
 
-def drop_redundant_data_rows_rowwise(
-    space: VariableSpace, system: ConstraintSystem
-) -> ConstraintSystem:
-    """Theorem 3 redundant-row removal via a per-row rebuild."""
-    filtered = ConstraintSystem(system.n_vars)
-    dropped: set[int] = set()
-    for row in system.equalities:
-        if row.kind == "sa":
-            bucket = int(space.var_bucket[row.indices[0]])
-            if bucket not in dropped:
-                dropped.add(bucket)
-                continue
-        filtered.add_equality(
-            row.indices, row.coefficients, row.rhs, kind=row.kind, label=row.label
-        )
-    for row in system.inequalities:
-        filtered.add_inequality(
-            row.indices, row.coefficients, row.rhs, kind=row.kind, label=row.label
-        )
-    return filtered
-
-
 def _encode_row(row: Row, family: bytes, *, with_rhs: bool) -> bytes:
     order = np.argsort(row.indices, kind="stable")
     indices = np.ascontiguousarray(row.indices[order], dtype=np.int64)

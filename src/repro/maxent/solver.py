@@ -7,9 +7,9 @@ implements the full Section 5.5 pipeline:
    the paper's unoptimized performance numbers),
 2. irrelevant components (Definition 5.6) take the closed-form Eq. (9)
    solution (Theorem 5) — batched over all of them in one vectorized call,
-3. the rest are presolved (forced variables eliminated) and handed to the
-   configured solver (L-BFGS dual by default; GIS / IIS / primal for the
-   solver-comparison ablation), one work unit at a time,
+3. the rest are presolved (forced variables eliminated) and solved by
+   L-BFGS on the dual (the paper's choice, with a Newton-CG polish), one
+   work unit at a time,
 4. per-component solutions are reassembled, statistics aggregated, and
    clear errors raised when the constraints turn out infeasible.
 
@@ -17,9 +17,8 @@ The actual execution — work-unit dispatch, the component solve cache,
 warm-started duals, the batched closed form — lives in
 :mod:`repro.engine`; this module is the stable entry point wrapping the
 process-wide shared :class:`~repro.engine.engine.PrivacyEngine` for the
-config's execution knobs.  :class:`MaxEntConfig` and
-:func:`drop_redundant_data_rows` are re-exported here for compatibility
-with their original home.
+config's execution knobs.  :class:`MaxEntConfig` is re-exported here
+for compatibility with its original home.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 from repro.engine.engine import shared_engine
 from repro.maxent.config import MaxEntConfig
 from repro.maxent.constraints import ConstraintSystem
-from repro.maxent.decompose import drop_redundant_data_rows
 from repro.maxent.indexing import GroupVariableSpace, PersonVariableSpace
 from repro.maxent.solution import MaxEntSolution
 
@@ -35,7 +33,6 @@ VariableSpace = GroupVariableSpace | PersonVariableSpace
 
 __all__ = [
     "MaxEntConfig",
-    "drop_redundant_data_rows",
     "solve_maxent",
 ]
 

@@ -212,7 +212,9 @@ class ServiceConfig:
         before the final snapshot and shutdown.
     engine:
         Execution-engine knobs (component cache size, ``cache_path`` for
-        warm restarts, solver and replay settings).
+        warm restarts, replay and kernel settings).  It is also the
+        default of every request's config: a request's ``config`` keys
+        override it, and a knob the request omits takes this value.
     """
 
     host: str = "127.0.0.1"
@@ -1161,7 +1163,7 @@ class PrivacyService:
         record = self.store.get(request.segments[2])
         body = self._body_object(request, ("statements", "config"))
         statements = statements_from_list(body.get("statements"))
-        config = config_from_dict(body.get("config"))
+        config = config_from_dict(body.get("config"), self.config.engine)
         payload, served_from = await self._posterior_payload(
             record, statements, config, deadline=request.deadline
         )
@@ -1193,10 +1195,7 @@ class PrivacyService:
         # additionally depends on the failure policy (raise vs return a
         # non-converged posterior), so that is part of the result key —
         # one client's lenient config must not answer a strict client.
-        policy = (
-            f"{int(config.raise_on_infeasible)}"
-            f":{config.infeasibility_threshold!r}"
-        )
+        policy = int(config.raise_on_infeasible)
         key = f"{record.release_id}:{fingerprint}:{policy}"
         cached = self.store.results.lookup(key)
         if cached is not None:
@@ -1319,7 +1318,7 @@ class PrivacyService:
                 code="no_original",
             )
         mining = mining_config_from_dict(body.get("mining"))
-        config = config_from_dict(body.get("config"))
+        config = config_from_dict(body.get("config"), self.config.engine)
         exclude = frozenset(body.get("exclude_sa") or ())
         loop = asyncio.get_running_loop()
         rules = await loop.run_in_executor(None, record.rules, mining)

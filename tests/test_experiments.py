@@ -105,7 +105,7 @@ class TestFigureDrivers:
     def test_figure5_shape_and_monotonicity(self):
         config = Figure5Config(
             n_records=250, max_antecedent=1, max_k=40, points=3,
-            solver=FAST_SOLVER,
+            maxent=FAST_SOLVER,
         )
         result = figure5(config)
         assert set(result.series) == {"K+", "K-", "(K+, K-)"}
@@ -119,7 +119,7 @@ class TestFigureDrivers:
     def test_figure6_series_per_size(self):
         config = Figure6Config(
             n_records=250, sizes=(1, 2), max_k=20, points=2,
-            solver=FAST_SOLVER,
+            maxent=FAST_SOLVER,
         )
         result = figure6(config)
         assert set(result.series) == {"T=1", "T=2"}
@@ -133,7 +133,7 @@ class TestFigureDrivers:
             n_records=250,
             max_antecedent=1,
             constraint_counts=(5, 20),
-            solver=FAST_PERF_SOLVER,
+            maxent=FAST_PERF_SOLVER,
         )
         result = figure7a(config)
         assert set(result.series) == {"running time (s)", "iterations"}
@@ -146,7 +146,7 @@ class TestFigureDrivers:
             bucket_counts=(20, 40),
             knowledge_sizes=(0, 5),
             max_antecedent=1,
-            solver=FAST_PERF_SOLVER,
+            maxent=FAST_PERF_SOLVER,
         )
         time_result, iteration_result = figure7bc(config)
         assert set(time_result.series) == {

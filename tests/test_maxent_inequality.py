@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.primal import solve_primal
 from repro.data.paper_example import Q1, S2, S3, paper_published, paper_table
 from repro.core.quantifier import PosteriorTable
 from repro.core.privacy_maxent import PrivacyMaxEnt
@@ -17,7 +18,6 @@ from repro.maxent.dual import build_dual
 from repro.maxent.indexing import GroupVariableSpace
 from repro.maxent.inequality import classify_inequalities, verify_kkt
 from repro.maxent.lbfgs import solve_dual_lbfgs
-from repro.maxent.primal import solve_primal
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 """Solver tests: closed form, LBFGS, GIS, IIS, primal — and their agreement.
 
-The four solvers approach the same convex program from different angles
-(dual quasi-Newton, two scaling algorithms, direct primal optimization);
+The engine runs only the closed form and L-BFGS; GIS, IIS and the primal
+solve are the baselines in :mod:`repro.baselines`.  The four fitters
+approach the same convex program from different angles (dual
+quasi-Newton, two scaling algorithms, direct primal optimization);
 agreement across them on nontrivial instances corroborates both the
 exponential-family theory and each implementation.
 """
@@ -9,6 +11,9 @@ exponential-family theory and each implementation.
 import numpy as np
 import pytest
 
+from repro.baselines.gis import solve_gis
+from repro.baselines.iis import solve_iis
+from repro.baselines.primal import solve_primal
 from repro.data.paper_example import paper_published
 from repro.errors import NotSupportedError
 from repro.knowledge.compiler import compile_statements
@@ -17,12 +22,10 @@ from repro.maxent.closed_form import closed_form_solution
 from repro.maxent.constraints import data_constraints
 from repro.maxent.decompose import decompose
 from repro.maxent.dual import build_dual
-from repro.maxent.gis import solve_gis
-from repro.maxent.iis import solve_iis
 from repro.maxent.indexing import GroupVariableSpace
 from repro.maxent.lbfgs import solve_dual_lbfgs
 from repro.maxent.presolve import presolve
-from repro.maxent.primal import solve_primal
+from repro.maxent.solver import MaxEntConfig, solve_maxent
 from repro.utils.probability import entropy
 
 
@@ -149,6 +152,25 @@ class TestScalingSolvers:
         with pytest.raises(NotSupportedError):
             solve_gis(system, 1.0)
 
+    def test_gis_rejects_unpresolved_zero_rule(self, space):
+        # Zero-probability knowledge leaves a zero-target row that only
+        # presolve removes; GIS refuses the raw system with a clear error.
+        system = data_constraints(space)
+        system.extend(
+            compile_statements(
+                [
+                    ConditionalProbability(
+                        given={"gender": "male"},
+                        sa_value="Breast Cancer",
+                        probability=0.0,
+                    )
+                ],
+                space,
+            )
+        )
+        with pytest.raises(NotSupportedError):
+            solve_gis(system, 1.0)
+
     def test_gis_rejects_zero_targets(self):
         from repro.maxent.constraints import ConstraintSystem
 
@@ -156,6 +178,42 @@ class TestScalingSolvers:
         system.add_equality([0, 1], [1.0, 1.0], 0.0, kind="bk")
         with pytest.raises(NotSupportedError):
             solve_gis(system, 1.0)
+
+
+class TestBaselinesPerComponent:
+    """The engine's pipeline with a baseline fitter in place of L-BFGS.
+
+    Every knowledge-coupled component is presolved and handed to the
+    fitter directly; the reassembled joint must match the engine's.
+    """
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda system, mass: solve_gis(
+                system, mass, tol=1e-9, max_iterations=50000
+            ),
+            lambda system, mass: solve_iis(
+                system, mass, tol=1e-9, max_iterations=50000
+            ),
+            lambda system, mass: solve_primal(system, mass, tol=1e-7),
+        ],
+        ids=["gis", "iis", "primal"],
+    )
+    def test_matches_engine(self, space, fit):
+        system = knowledge_system(space)
+        reference = solve_maxent(space, system, MaxEntConfig(tol=1e-9)).p
+        p = closed_form_solution(space)
+        for component in decompose(space, system):
+            if component.is_irrelevant:
+                continue
+            reduction = presolve(component.system)
+            result = fit(
+                reduction.system, component.mass - reduction.mass_removed
+            )
+            assert result.converged
+            p[component.var_indices] = reduction.restore(result.p)
+        assert np.abs(p - reference).max() < 2e-4
 
 
 class TestPrimal:

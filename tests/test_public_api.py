@@ -50,6 +50,7 @@ class TestSubpackages:
             "repro.anonymize.anatomy",
             "repro.anonymize.suppress",
             "repro.baselines.enumeration",
+            "repro.baselines.gis",
             "repro.core.invariants",
             "repro.core.utility",
             "repro.data.paper_example",
@@ -57,7 +58,6 @@ class TestSubpackages:
             "repro.knowledge.skyline",
             "repro.maxent.diagnostics",
             "repro.maxent.dual",
-            "repro.maxent.newton",
             "repro.experiments.figures",
             "repro.cli",
         ],

@@ -239,9 +239,13 @@ class TestPosterior:
             {"executor": "process"},
             {"executor": "serial"},
             {"executor": "cluster"},
-            # The deleted worker-address knob, spelled in parts so no
-            # live reference to the removed name remains in the tree.
+            # Deleted knob names, spelled in parts so no live reference
+            # to them remains in the tree.
             {"_".join(("cluster", "workers")): "127.0.0.1:1"},
+            {"solver": "lbfgs"},
+            {"_".join(("drop", "redundant")): True},
+            {"_".join(("warm", "start")): False},
+            {"_".join(("infeasibility", "threshold")): 0.1},
             {"tol": "abc"},
             {"tol": float("nan")},
             {"batch_max_vars": None},
@@ -550,3 +554,69 @@ class TestWarmRestart:
                 np.testing.assert_allclose(
                     warm.posterior.matrix, first.posterior.matrix, atol=0
                 )
+
+
+class TestRequestConfigDefaults:
+    """The server's engine config is every request's default config, and
+    the result cache keys on every knob that changes the answer."""
+
+    @pytest.fixture(scope="class")
+    def synthetic(self):
+        from repro.experiments.workloads import (
+            build_synthetic_release,
+            per_bucket_statements,
+        )
+
+        published = build_synthetic_release(
+            800, qi_domain_sizes=(60, 50, 40, 30), n_sa_values=6, l=5
+        )
+        return published, per_bucket_statements(published)
+
+    def test_config_less_request_inherits_server_replay(self, synthetic):
+        from repro.core.serialize import statement_to_dict
+
+        published, statements = synthetic
+        config = ServiceConfig(port=0, engine=MaxEntConfig(replay="bitwise"))
+        with BackgroundService(PrivacyService(config)) as background:
+            with ServiceClient(port=background.port) as session:
+                session.wait_until_healthy(timeout=10)
+                release = session.register(published)
+                # No config in the request: the server's bitwise replay
+                # applies, so nothing takes the batched path.
+                bitwise = session.posterior(release, statements)
+                assert bitwise.stats["n_components"] == 160
+                assert bitwise.stats["batched_components"] == 0
+                # A request key overrides the server's default.
+                tolerance = session._request(
+                    "POST",
+                    f"/v1/releases/{release}/posterior",
+                    {
+                        "statements": [
+                            statement_to_dict(s) for s in statements
+                        ],
+                        "config": {"replay": "tolerance"},
+                    },
+                )
+                assert tolerance["served_from"] == "solve"
+                assert tolerance["stats"]["batched_components"] > 0
+
+    def test_result_cache_keys_on_decompose(self, synthetic):
+        published, statements = synthetic
+        with BackgroundService(
+            PrivacyService(ServiceConfig(port=0))
+        ) as background:
+            with ServiceClient(port=background.port) as session:
+                session.wait_until_healthy(timeout=10)
+                release = session.register(published)
+                results = [
+                    session.posterior(
+                        release,
+                        statements[:40],
+                        config=MaxEntConfig(
+                            replay="bitwise", decompose=decompose
+                        ),
+                    )
+                    for decompose in (True, False)
+                ]
+        assert [r.served_from for r in results] == ["solve", "solve"]
+        assert [r.stats["n_components"] for r in results] == [160, 1]
